@@ -113,18 +113,17 @@ class DensityOperator:
         """tr(rho^2); equals the squared Frobenius norm for Hermitian rho."""
         return float(np.sum(np.abs(self.matrix) ** 2))
 
-    def eigenbranches(self, min_weight: float = 1e-10, max_rank: int = 16):
+    def eigenbranches(self, min_weight: float = 1e-10):
         """Spectral branches for pure-state propagation of mixtures.
 
         Returns (weights, vectors, discarded) with weights descending,
         vectors as columns, and ``discarded`` the total weight dropped by
-        the ``min_weight`` floor and ``max_rank`` cap.
+        the ``min_weight`` floor.
         """
         w, v = np.linalg.eigh(self.matrix)
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
         keep = w >= min_weight
-        keep[max_rank:] = False
         discarded = float(np.clip(w[~keep], 0.0, None).sum())
         return w[keep], v[:, keep], discarded
 

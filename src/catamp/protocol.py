@@ -22,18 +22,11 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erfc
 
 from .detection import (PROBABILITY_FLOOR, DegenerateProbabilityError,
-                        DetectorModel, outcome_diagonal)
+                        DetectorModel, herald_operator)
 from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator,
                    MultiModeState, fidelity_mixed, projector)
 from .optics import BeamSplitterParams, beam_splitter_unitary
-from .states import CatSpec, cat_state, coherent_state, squeezed_photon, squeezed_vacuum
-
-# Branch pairs lighter than this contribute nothing at the working
-# tolerances; their total weight is tracked, not silently dropped.
-PAIR_WEIGHT_FLOOR = 1e-13
-
-# Chunk size for batched pure-branch propagation (memory bound).
-_CHUNK = 32
+from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
 SOURCE_KINDS = ("ideal-cat", "squeezed-photon", "mixed-photon")
 
@@ -166,12 +159,12 @@ def _input_branches(state, label: str):
 def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     """Run one conditional amplification stage.
 
-    Builds a x b x |gamma>, applies bs1 to (a, b), a 50:50 splitter to
-    the dump port and the auxiliary, conditions on both detectors
-    clicking, and reports the normalized output with its success
-    probability, fidelity against the nominal target cat, and purity.
-    Mixed inputs are propagated branch-pairwise, which is exact for
-    product inputs.
+    Applies bs1 to (a, b) and keeps the bright port heralded by both
+    detectors clicking, ``Tr_dump[(1 x Pi) U1 (a x b) U1^dag]`` with Pi
+    the ``herald_operator`` of the auxiliary |gamma> and detectors.
+    Reports the normalized output with its success probability, fidelity
+    against the nominal target cat, and purity. Mixed inputs are
+    propagated branch-pairwise, which is exact for product inputs.
     """
     wa, va, disc_a, leak_a = _input_branches(input_a, "first")
     wb, vb, disc_b, leak_b = _input_branches(input_b, "second")
@@ -179,46 +172,23 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     if vb.shape[0] != cutoff:
         raise ValueError(f"cutoff mismatch between inputs: {cutoff} vs {vb.shape[0]}")
 
-    aux = coherent_state(params.gamma, cutoff)
     u1 = beam_splitter_unitary(params.bs1, cutoff)
-    u2 = beam_splitter_unitary(BeamSplitterParams.fifty_fifty(), cutoff)
-    model = DetectorModel(eta=params.eta, cutoff=cutoff)
-    d_click = outcome_diagonal(model, True)
-
-    pairs = [(wi * wj, i, j) for i, wi in enumerate(wa) for j, wj in enumerate(wb)]
-    kept = [(w, i, j) for w, i, j in pairs if w >= PAIR_WEIGHT_FLOOR]
-    skipped = sum(w for w, _, _ in pairs) - sum(w for w, _, _ in kept)
-
-    sq1, sq2 = np.sqrt(d_click), np.sqrt(d_click)
-    rho = np.zeros((cutoff, cutoff), dtype=np.complex128)
-    for lo in range(0, len(kept), _CHUNK):
-        chunk = kept[lo:lo + _CHUNK]
-        w = np.array([c[0] for c in chunk])
-        a = va[:, [c[1] for c in chunk]].T  # (P, cutoff)
-        b = vb[:, [c[2] for c in chunk]].T
-        psi = (a[:, :, None, None] * b[:, None, :, None]
-               * aux.amplitudes[None, None, None, :])
-        p = psi.shape[0]
-        psi = (u1 @ psi.reshape(p, cutoff * cutoff, cutoff)).reshape(
-            p, cutoff, cutoff, cutoff)
-        psi = (psi.reshape(p, cutoff, cutoff * cutoff) @ u2.T).reshape(
-            p, cutoff, cutoff, cutoff)
-        weighted = (psi * sq1[None, None, :, None] * sq2[None, None, None, :]
-                    * np.sqrt(w)[:, None, None, None])
-        flat = weighted.transpose(1, 0, 2, 3).reshape(cutoff, -1)
-        rho += flat @ flat.conj().T
-
-    rho = 0.5 * (rho + rho.conj().T)
-    raw = DensityOperator(rho)
-    probability = raw.trace_value
+    _, root = herald_operator(DetectorModel(eta=params.eta, cutoff=cutoff), params.gamma)
+    # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, bright index slowest
+    pairs = ((va * np.sqrt(wa))[:, None, :, None]
+             * (vb * np.sqrt(wb))[None, :, None, :]).reshape(cutoff * cutoff, -1)
+    # Pi^{1/2} on the dump axis: rho = Y Y^dag is Hermitian PSD by construction
+    y = (root @ (u1 @ pairs).reshape(cutoff, cutoff, -1)).reshape(cutoff, -1)
+    rho = y @ y.conj().T
+    probability = float(np.trace(rho).real)
     if probability < PROBABILITY_FLOOR:
         raise DegenerateProbabilityError(
             f"conditioning probability {probability:.3e} below floor {PROBABILITY_FLOOR:.0e}")
 
-    output = raw.normalized()
+    output = DensityOperator(0.5 * (rho + rho.conj().T) / probability)
     target = params.nominal_target
     fidelity = fidelity_mixed(output, cat_state(target, cutoff=cutoff))
-    leak = max(leak_a, leak_b, aux.leakage, disc_a, disc_b, skipped)
+    leak = max(leak_a, leak_b, disc_a, disc_b)
     return IterationResult(
         output=output,
         probability=probability,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,21 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["amplify", "--alpha-target", "1.0", "--iterations", "1",
                  "--eta", "0.0"]) == 2
     capsys.readouterr()
+
+
+def test_cutoff_beyond_the_memory_budget_is_refused_before_allocation(capsys):
+    RunConfig(cutoff=RunConfig.MAX_CUTOFF)
+    with pytest.raises(ConfigError):
+        RunConfig(cutoff=RunConfig.MAX_CUTOFF + 1)
+    assert 16 * RunConfig.MAX_CUTOFF ** 4 <= 256 * 2 ** 20 < 16 * (RunConfig.MAX_CUTOFF + 1) ** 4
+    tracemalloc.start()
+    try:
+        assert main(["fig2", "--cutoff", "100000"]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 100000-state U1 would take 1.6e21 bytes
+    assert "cutoff" in capsys.readouterr().err
 
 
 def test_unwritable_output_path_is_config_error():

@@ -57,6 +57,17 @@ def test_simulation_matches_closed_form(alpha, beta, phi_a, phi_b):
     assert abs(res.nominal_target.alpha - math.hypot(alpha, beta)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [2.0, 2.5])
+@pytest.mark.parametrize("phi_a,phi_b", [(PI, PI), (0.0, 0.0), (0.0, PI), (PI, 0.0)])
+def test_closed_form_probability_holds_at_the_top_of_the_regime(alpha, phi_a, phi_b):
+    # the herald's auxiliary and detector modes are not truncated, so only
+    # the inputs and U1's two output modes must fit the cutoff-30 basis
+    stage = StageParams.plan(alpha, alpha, phi_a, phi_b)
+    res = amplify_once(cat_state(alpha, phi_a, cutoff=30), cat_state(alpha, phi_b, cutoff=30),
+                       stage)
+    assert abs(res.probability - success_probability(alpha, alpha, phi_a, phi_b)) <= 1e-4
+
+
 def test_amplify_once_ideal_cats_anchor():
     a = 2 ** -0.5
     stage = StageParams.plan(a, a, PI, PI)
@@ -165,13 +176,15 @@ def test_failed_herald_branches_explain_reference_purification_values():
     branches = {
         (1, 1): amplify_once(s1, s1, stage),
         (1, 0): amplify_once(s1, s0, stage),
+        (0, 1): amplify_once(s0, s1, stage),
         (0, 0): amplify_once(s0, s0, stage),
     }
     reference = {0.4: 0.89, 0.25: 0.941, 0.05: 0.990}
     for p, want in reference.items():
-        weights = {(1, 1): (1 - p) ** 2, (1, 0): 2 * p * (1 - p), (0, 0): p * p}
+        weights = {(1, 1): (1 - p) ** 2, (1, 0): p * (1 - p), (0, 1): p * (1 - p),
+                   (0, 0): p * p}
         fid = {key: res.fidelity for key, res in branches.items()}
-        fid[(1, 0)] = 0.0  # the idealization behind the reference values
+        fid[(1, 0)] = fid[(0, 1)] = 0.0  # the idealization behind the reference values
         num = sum(weights[k] * branches[k].probability * fid[k] for k in weights)
         den = sum(weights[k] * branches[k].probability for k in weights)
         assert abs(num / den - want) < 1.5e-3
