@@ -6,34 +6,27 @@ coherent field, and post-selected on two threshold-detector clicks to
 grow the cat amplitude by sqrt(2) per iteration.
 """
 
-from .detection import (ALL_PATTERNS, BOTH_CLICK, ClickPattern,
-                        DegenerateProbabilityError, DetectorModel,
-                        click_povm, condition)
+from .detection import DegenerateProbabilityError, DetectorModel
 from .fock import (DEFAULT_CUTOFF, DensityOperator, MultiModeState,
-                   apply_single_mode, apply_two_mode, fidelity_mixed,
-                   fidelity_pure, partial_trace, projector, tensor)
-from .optics import (BeamSplitterParams, SqueezeSpec, apply_beam_splitter,
-                     beam_splitter_unitary, squeeze_unitary)
+                   fidelity_mixed, fidelity_pure, projector)
+from .optics import BeamSplitterParams, beam_splitter_unitary
 from .protocol import (IterationResult, Schedule, SourceModel, StageParams,
                        amplify_once, best_schedule, homodyne_error,
                        mixed_inputs, optimal_squeezing, plan_schedule,
                        prepare_source, run_schedule, success_probability,
                        squeezed_photon_cat_fidelity)
-from .states import (CatSpec, cat_state, coherent_state, fock_state,
-                     squeezed_photon, squeezed_vacuum)
+from .states import (CatSpec, SqueezeSpec, cat_state, coherent_state,
+                     fock_state, squeezed_photon, squeezed_vacuum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_CUTOFF", "MultiModeState", "DensityOperator", "tensor",
-    "partial_trace", "projector", "fidelity_pure", "fidelity_mixed",
-    "apply_single_mode", "apply_two_mode",
+    "DEFAULT_CUTOFF", "MultiModeState", "DensityOperator", "projector",
+    "fidelity_pure", "fidelity_mixed",
     "CatSpec", "SqueezeSpec", "fock_state", "coherent_state", "cat_state",
     "squeezed_photon", "squeezed_vacuum",
-    "BeamSplitterParams", "squeeze_unitary", "beam_splitter_unitary",
-    "apply_beam_splitter",
-    "DetectorModel", "ClickPattern", "BOTH_CLICK", "ALL_PATTERNS",
-    "click_povm", "condition", "DegenerateProbabilityError",
+    "BeamSplitterParams", "beam_splitter_unitary",
+    "DetectorModel", "DegenerateProbabilityError",
     "StageParams", "IterationResult", "SourceModel", "Schedule",
     "plan_schedule", "prepare_source", "amplify_once", "run_schedule",
     "best_schedule", "mixed_inputs", "success_probability",

@@ -33,7 +33,8 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
 
-    # largest cutoff whose dense U1 (16 cutoff^4 bytes) fits in 256 MiB
+    # one dense U1 (16 cutoff^4 bytes) is cached at a time; 64 is the
+    # largest cutoff at which it fits in 256 MiB
     MAX_CUTOFF = 64
 
     def __post_init__(self):

@@ -1,10 +1,11 @@
-"""Inefficient threshold detectors and measurement conditioning.
+"""Inefficient threshold detectors, folded into one herald operator.
 
-A threshold detector reports only click / no-click. With quantum
-efficiency eta the no-click element is diagonal with entries (1-eta)^n,
-the click element its complement, so the pair is an exactly complete
-POVM and the vacuum never clicks. ``herald_operator`` folds a stage's
-auxiliary mode and both detectors into one operator on the dump mode.
+A threshold detector reports only click / no-click; with quantum
+efficiency eta its no-click element is :exp(-eta c^dag c):, diagonal
+with entries (1-eta)^n. A stage mixes its dump mode with a coherent
+auxiliary on a 50:50 splitter and keeps the run when both detectors
+click; ``herald_operator`` is that whole measurement as one operator on
+the dump mode.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DEFAULT_CUTOFF, DensityOperator, MultiModeState
+from .fock import DEFAULT_CUTOFF
 
 # Below this probability a conditional state is numerically meaningless.
 PROBABILITY_FLOOR = 1e-12
@@ -37,34 +38,6 @@ class DetectorModel:
             raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
         if self.cutoff < 1:
             raise ValueError("cutoff must be positive")
-
-
-@dataclass(frozen=True)
-class ClickPattern:
-    """Outcome pair for the two conditioning detectors (True = click)."""
-
-    detector_a: bool
-    detector_b: bool
-
-
-BOTH_CLICK = ClickPattern(True, True)
-ALL_PATTERNS = (
-    ClickPattern(False, False),
-    ClickPattern(False, True),
-    ClickPattern(True, False),
-    ClickPattern(True, True),
-)
-
-
-def _click_diagonal(model: DetectorModel) -> np.ndarray:
-    n = np.arange(model.cutoff)
-    return 1.0 - (1.0 - model.eta) ** n
-
-
-def outcome_diagonal(model: DetectorModel, click: bool) -> np.ndarray:
-    """Diagonal of the click or no-click POVM element."""
-    d = _click_diagonal(model)
-    return d if click else 1.0 - d
 
 
 @lru_cache(maxsize=128)
@@ -91,50 +64,3 @@ def herald_operator(model: DetectorModel, gamma: float) -> tuple[np.ndarray, np.
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     pi.flags.writeable = root.flags.writeable = False
     return pi, root
-
-
-def click_povm(model: DetectorModel) -> np.ndarray:
-    """The click POVM element: diagonal with entries 1 - (1-eta)^n."""
-    m = np.diag(_click_diagonal(model))
-    m.flags.writeable = False
-    return m
-
-
-def povm_reduce(tensor3: np.ndarray, d1: np.ndarray, d2: np.ndarray):
-    """POVM-weighted partial trace of a (keep, t1, t2) amplitude tensor.
-
-    Returns the raw sub-normalized matrix on the kept mode and its trace.
-    ``d1`` and ``d2`` are non-negative diagonal POVM vectors.
-    """
-    w = tensor3 * np.sqrt(d1)[None, :, None] * np.sqrt(d2)[None, None, :]
-    f = w.reshape(tensor3.shape[0], -1)
-    rho = f @ f.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho, float(np.trace(rho).real)
-
-
-def condition(psi: MultiModeState, t1: int, t2: int, pattern: ClickPattern,
-              model: DetectorModel):
-    """Condition a three-mode pure state on a detector outcome pair.
-
-    Detectors sit on modes ``t1`` and ``t2``; the returned density
-    operator lives on the remaining mode and is sub-normalized, its trace
-    being the outcome probability (also returned).
-    """
-    if psi.mode_count != 3:
-        raise ValueError("conditioning expects a three-mode state")
-    if t1 == t2:
-        raise ValueError("detector modes must be distinct")
-    for m in (t1, t2):
-        if not 0 <= m < 3:
-            raise ValueError(f"mode {m} out of range [0, 3)")
-    if model.cutoff != psi.cutoff:
-        raise ValueError(f"detector cutoff {model.cutoff} does not match state cutoff {psi.cutoff}")
-    if not psi.is_normalized:
-        raise ValueError("conditioning expects a normalized state")
-    keep = ({0, 1, 2} - {t1, t2}).pop()
-    x = np.moveaxis(psi.amplitudes, (keep, t1, t2), (0, 1, 2))
-    rho, prob = povm_reduce(x,
-                            outcome_diagonal(model, pattern.detector_a),
-                            outcome_diagonal(model, pattern.detector_b))
-    return DensityOperator(rho), prob

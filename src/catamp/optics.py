@@ -1,12 +1,10 @@
-"""Squeezing and beam-splitter unitaries on the truncated Fock basis.
+"""The stage's beam splitter U1 on the truncated two-mode Fock basis.
 
-The beam-splitter phase convention is pinned to the coherent-state rule
+The phase convention is pinned to the coherent-state rule
 
     B(r, t) |a>|b>  ->  |t*a + r*b> |-r*a + t*b>
 
-which the covariance tests enforce; the squeeze convention is pinned to
-exp(-(r/2)(a^2 - adag^2)), which for r > 0 stretches a single photon
-into positive odd-photon-number coefficients.
+which the covariance tests enforce.
 """
 
 from __future__ import annotations
@@ -18,21 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .fock import DEFAULT_CUTOFF, MultiModeState, apply_two_mode
-
-# Beyond |r| = 2 at cutoff 30 truncation leakage exceeds the warning level.
-MAX_SQUEEZE = 2.0
-
-
-@dataclass(frozen=True)
-class SqueezeSpec:
-    """Squeezing strength r of the quadratic unitary exp(-(r/2)(a^2 - adag^2))."""
-
-    r: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.r) or abs(self.r) > MAX_SQUEEZE:
-            raise ValueError(f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZE}, got {self.r}")
+from .fock import DEFAULT_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -59,39 +43,10 @@ class BeamSplitterParams:
         return math.atan2(self.reflectivity, self.transmittivity)
 
 
-def _squeeze_r(spec) -> float:
-    r = spec.r if isinstance(spec, SqueezeSpec) else float(spec)
-    SqueezeSpec(r)  # validate range
-    return r
-
-
-def _ladder(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-
-
-@lru_cache(maxsize=128)
-def _squeeze_unitary_cached(r: float, cutoff: int) -> np.ndarray:
-    a = _ladder(cutoff)
-    a2 = a @ a
-    gen = 0.5 * r * (a2.T - a2)
-    u = expm(gen).astype(np.complex128)
-    u.flags.writeable = False
-    return u
-
-
-def squeeze_unitary(spec, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
-    """exp(-(r/2)(a^2 - adag^2)) on the truncated basis.
-
-    Columns near the cutoff are inaccurate (the generator is truncated);
-    the validated regime keeps |r| <= 0.5 at cutoff 30. The returned
-    matrix is cached and read-only.
-    """
-    return _squeeze_unitary_cached(_squeeze_r(spec), int(cutoff))
-
-
-@lru_cache(maxsize=64)
-def _beam_splitter_cached(reflectivity: float, transmittivity: float, cutoff: int) -> np.ndarray:
-    theta = math.atan2(reflectivity, transmittivity)
+# One dense c^2 x c^2 matrix at a time: every schedule runs at a single
+# 50:50 angle per cutoff, and a sweep over ratios would miss any cache.
+@lru_cache(maxsize=1)
+def _beam_splitter_cached(theta: float, cutoff: int) -> np.ndarray:
     c = cutoff
     u = np.zeros((c * c, c * c), dtype=np.complex128)
     for total in range(2 * c - 1):
@@ -118,20 +73,8 @@ def beam_splitter_unitary(params: BeamSplitterParams, cutoff: int = DEFAULT_CUTO
     Each block is the exponential of the truncated mixing generator, so
     the matrix is exactly unitary and exactly number-conserving; blocks
     with total photon number above cutoff-1 are partial and only there
-    does the matrix deviate from the untruncated physics. Cached and
-    read-only.
+    does the matrix deviate from the untruncated physics. The first mode
+    is the slower half of the flattened index. Cached by mixing angle,
+    one matrix at a time, and read-only.
     """
-    return _beam_splitter_cached(params.reflectivity, params.transmittivity, int(cutoff))
-
-
-def apply_beam_splitter(psi: MultiModeState, m1: int, m2: int,
-                        params: BeamSplitterParams) -> MultiModeState:
-    """Mix modes m1 (first input arm) and m2 through a beam splitter.
-
-    Mode m1's amplitude appears with coefficient +t in output arm m1, so
-    m1 keeps the transmitted field.
-    """
-    if m1 == m2:
-        raise ValueError("beam splitter needs two distinct modes")
-    u = beam_splitter_unitary(params, psi.cutoff)
-    return apply_two_mode(u, psi, m1, m2)
+    return _beam_splitter_cached(params.mixing_angle, int(cutoff))

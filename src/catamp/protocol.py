@@ -146,7 +146,7 @@ def _input_branches(state, label: str):
         if state.mode_count != 1:
             raise ValueError(f"{label} input must be single-mode")
         if not state.is_normalized:
-            raise ValueError(f"{label} input must be normalized")
+            raise ValueError(f"{label} input must have unit norm")
         return np.array([1.0]), state.amplitudes[:, None], 0.0, state.leakage
     if isinstance(state, DensityOperator):
         if abs(state.trace_value - 1.0) > 1e-8:
@@ -162,7 +162,7 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     Applies bs1 to (a, b) and keeps the bright port heralded by both
     detectors clicking, ``Tr_dump[(1 x Pi) U1 (a x b) U1^dag]`` with Pi
     the ``herald_operator`` of the auxiliary |gamma> and detectors.
-    Reports the normalized output with its success probability, fidelity
+    Reports the unit-trace output with its success probability, fidelity
     against the nominal target cat, and purity. Mixed inputs are
     propagated branch-pairwise, which is exact for product inputs.
     """
@@ -228,7 +228,7 @@ def run_schedule(sched: Schedule, source: SourceModel,
     Entry 0 describes the prepared stage-0 input itself (probability 1,
     fidelity against the odd cat of amplitude alpha_i); entry k >= 1 the
     output of stage k. Each stage feeds two copies of the previous
-    normalized output.
+    unit-trace output.
     """
     state = prepare_source(source, sched.alpha_i, cutoff=cutoff)
     if isinstance(state, MultiModeState):
@@ -277,7 +277,7 @@ def best_schedule(alpha_target: float, max_n: int = 6,
 # ---------------------------------------------------------------------------
 
 def success_probability(alpha: float, beta: float, phi_a: float, phi_b: float) -> float:
-    """Single-iteration success probability of the double-click condition.
+    """Single-iteration success probability of the double-click herald.
 
     P = (1 - e^{-2 a^2 b^2 / (a^2+b^2)})^2 (1 + cos(phi_a+phi_b) e^{-2(a^2+b^2)})
         / (2 (1 + cos(phi_a) e^{-2 a^2}) (1 + cos(phi_b) e^{-2 b^2}))
@@ -305,7 +305,7 @@ def optimal_squeezing(alpha: float) -> tuple[float, float]:
     """Maximize the squeezed-photon/odd-cat fidelity over r.
 
     Bracketed scalar search on [0, 2] with a Newton polish on the
-    stationarity condition alpha^2 sech^2(r) = 3 tanh(r), so the residual
+    stationarity equation alpha^2 sech^2(r) = 3 tanh(r), so the residual
     slope at the reported optimum is at machine level. Returns
     (r_star, f_star).
     """

@@ -4,6 +4,10 @@ Fock states, coherent states, cat states (superpositions of two opposite
 coherent amplitudes), squeezed vacuum and the squeezed single photon.
 All constructors renormalize within the truncated basis and record the
 squared-norm deficit they absorbed as ``state.leakage``.
+
+The squeeze convention is exp(-(r/2)(a^2 - adag^2)), which for r > 0
+stretches a single photon into positive odd-photon-number coefficients;
+both squeezed states are its closed-form series, exact on the kept basis.
 """
 
 from __future__ import annotations
@@ -14,12 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DEFAULT_CUTOFF, MultiModeState
-from .optics import SqueezeSpec, _squeeze_r, squeeze_unitary
 
 __all__ = [
     "CatSpec", "SqueezeSpec", "fock_state", "coherent_state", "cat_state",
     "squeezed_photon", "squeezed_vacuum",
 ]
+
+# Input guard on |r|: optimal_squeezing searches r in [0, 2], so every
+# squeezing the protocol derives lies inside it.
+MAX_SQUEEZE = 2.0
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,23 @@ class CatSpec:
     def phi_mod(self) -> float:
         """Relative phase reduced to [0, 2*pi) for comparisons."""
         return self.phi % (2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class SqueezeSpec:
+    """Squeezing strength r of the quadratic unitary exp(-(r/2)(a^2 - adag^2))."""
+
+    r: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.r) or abs(self.r) > MAX_SQUEEZE:
+            raise ValueError(f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZE}, got {self.r}")
+
+
+def _squeeze_r(spec) -> float:
+    r = spec.r if isinstance(spec, SqueezeSpec) else float(spec)
+    SqueezeSpec(r)  # validate range
+    return r
 
 
 def _phase_factor(phi: float) -> complex:
@@ -109,51 +133,36 @@ def cat_state(spec: "CatSpec | float", phi: float = math.pi,
     return MultiModeState(amp / math.sqrt(nsq), leakage=deficit)
 
 
-def squeezed_photon(spec: "SqueezeSpec | float", cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
-    """Squeezed single photon, expanded over odd number states.
+def _squeezed_series(spec, k: int, cutoff: int) -> MultiModeState:
+    """The squeezed number state |k>, k in {0, 1}, over |2n+k>.
 
-    Coefficients follow tanh(r)^n sqrt((2n+1)!) / (cosh(r)^{3/2} 2^n n!)
-    on |2n+1>, evaluated in log space to survive the factorials. Even
-    amplitudes are exactly zero.
+    Coefficients follow tanh(r)^n sqrt((2n+k)!) / (cosh(r)^{k+1/2} 2^n n!),
+    evaluated in log space to survive the factorials; amplitudes of the
+    other parity are exactly zero.
     """
     r = _squeeze_r(spec)
     t = math.tanh(r)
     amp = np.zeros(cutoff, dtype=np.complex128)
     if t == 0.0:
-        amp[1] = 1.0
+        amp[k] = 1.0
         return MultiModeState(amp)
     ln_ch = math.log(math.cosh(r))
     total = 0.0
-    for n in range((cutoff - 2) // 2 + 1):
-        ln_c = (n * math.log(abs(t)) + 0.5 * math.lgamma(2 * n + 2)
-                - 1.5 * ln_ch - n * math.log(2.0) - math.lgamma(n + 1))
+    for n in range((cutoff - 1 - k) // 2 + 1):
+        ln_c = (n * math.log(abs(t)) + 0.5 * math.lgamma(2 * n + k + 1)
+                - (k + 0.5) * ln_ch - n * math.log(2.0) - math.lgamma(n + 1))
         sign = -1.0 if (t < 0.0 and n % 2 == 1) else 1.0
-        amp[2 * n + 1] = sign * math.exp(ln_c)
+        amp[2 * n + k] = sign * math.exp(ln_c)
         total += math.exp(2.0 * ln_c)
     deficit = max(0.0, 1.0 - total)
     return MultiModeState(amp / math.sqrt(total), leakage=deficit)
 
 
-def squeezed_vacuum(spec: "SqueezeSpec | float", cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
-    """Squeezed vacuum, built by applying the squeeze unitary to |0>.
+def squeezed_photon(spec: "SqueezeSpec | float", cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
+    """Squeezed single photon, expanded over odd number states."""
+    return _squeezed_series(spec, 1, cutoff)
 
-    Deriving the vector from the same unitary that squeezes photons keeps
-    the sign convention in one place. Odd amplitudes are exactly zero.
-    """
-    r = _squeeze_r(spec)
-    amp = squeeze_unitary(r, cutoff)[:, 0].copy()
-    amp[1::2] = 0.0
-    nsq = float(np.vdot(amp, amp).real)
-    # true truncation deficit from the closed-form series on |2n>
-    t = math.tanh(r)
-    kept = 0.0
-    if t == 0.0:
-        kept = 1.0
-    else:
-        ln_ch = math.log(math.cosh(r))
-        for n in range((cutoff - 1) // 2 + 1):
-            ln_c2 = (2.0 * (n * math.log(abs(t)) + 0.5 * math.lgamma(2 * n + 1)
-                            - n * math.log(2.0) - math.lgamma(n + 1)) - ln_ch)
-            kept += math.exp(ln_c2)
-    deficit = max(0.0, 1.0 - kept)
-    return MultiModeState(amp / math.sqrt(nsq), leakage=deficit)
+
+def squeezed_vacuum(spec: "SqueezeSpec | float", cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
+    """Squeezed vacuum, expanded over even number states."""
+    return _squeezed_series(spec, 0, cutoff)

@@ -29,8 +29,9 @@ value ``catamp purify`` emits, keeps the odd x even branch (fidelity
 0.151 against the target, unlike inputs do not fix the output parity)
 and gives 0.9062 / 0.9494 / 0.9916; it is checked to 1e-10 against the
 recombination of the four pure branches, once through ``amplify_once``
-and once through the generic 3-mode route (``tensor``,
-``apply_beam_splitter``, ``condition``).
+and once through the brute-force 3-mode circuit of
+``tests/circuit_reference.py`` (a (x) b (x) |gamma> on plain arrays, U1,
+the 50:50 splitter and two click detectors).
 """
 
 import math
@@ -38,15 +39,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from catamp import (ALL_PATTERNS, BOTH_CLICK, BeamSplitterParams,
-                    DetectorModel, MultiModeState, SourceModel, StageParams,
-                    amplify_once, apply_beam_splitter, best_schedule,
-                    cat_state, coherent_state, condition, fidelity_mixed,
+import circuit_reference as ref
+from catamp import (BeamSplitterParams, DetectorModel, SourceModel,
+                    StageParams, amplify_once, beam_splitter_unitary,
+                    best_schedule, cat_state, coherent_state, fidelity_mixed,
                     fidelity_pure, homodyne_error, mixed_inputs,
                     optimal_squeezing, plan_schedule, run_schedule,
-                    squeezed_photon, squeezed_vacuum, success_probability,
-                    tensor)
+                    squeezed_photon, squeezed_vacuum, success_probability)
 from catamp.cli import RunConfig, cmd_purify, render_csv
+from catamp.detection import herald_operator
 
 PI = math.pi
 ROOT2 = math.sqrt(2.0)
@@ -152,20 +153,13 @@ def test_criterion_4_best_schedule():
 # ---------------------------------------------------------------------------
 
 def _three_mode_branch(input_a, input_b, stage):
-    """One stage on pure inputs through the generic 3-mode route.
-
-    Tensors the inputs with |gamma>, mixes them on bs1, mixes the dump
-    port with the auxiliary on a 50:50 splitter and conditions on both
-    detectors clicking. Returns (probability, fidelity against the
-    nominal target).
-    """
-    cutoff = input_a.cutoff
-    psi = tensor(tensor(input_a, input_b), coherent_state(stage.gamma, cutoff))
-    psi = apply_beam_splitter(psi, 0, 1, stage.bs1)
-    psi = apply_beam_splitter(psi, 1, 2, BeamSplitterParams.fifty_fifty())
-    rho, prob = condition(psi, 1, 2, BOTH_CLICK, DetectorModel(stage.eta, cutoff))
-    return prob, fidelity_mixed(rho.normalized(),
-                                cat_state(stage.nominal_target, cutoff=cutoff))
+    """One stage on pure inputs through the brute-force 3-mode circuit.
+    Returns (probability, fidelity against the nominal target)."""
+    rho = ref.stage(input_a.amplitudes, input_b.amplitudes, stage.bs1, stage.gamma,
+                    stage.eta)[ref.BOTH_CLICK]
+    prob = float(np.trace(rho).real)
+    target = cat_state(stage.nominal_target, cutoff=input_a.cutoff).amplitudes
+    return prob, float(np.vdot(target, rho @ target).real) / prob
 
 
 def _recombine(branches, weight, orthogonal=()):
@@ -260,30 +254,30 @@ def test_criterion_7_homodyne_discrimination():
 def test_criterion_8_property_suites():
     problems = []
 
-    # POVM completeness over outcomes
-    rng = np.random.default_rng(5)
-    amp = rng.standard_normal((12, 12, 12)) + 1j * rng.standard_normal((12, 12, 12))
-    psi = MultiModeState(amp / np.linalg.norm(amp))
+    # POVM completeness on the dump mode: the four click-pattern elements
+    # sum to the identity, and the both-click one is the herald operator
     for eta in (0.25, 0.8, 1.0):
-        model = DetectorModel(eta, 12)
-        total = sum(condition(psi, 1, 2, pat, model)[1] for pat in ALL_PATTERNS)
-        if abs(total - 1.0) > 1e-10:
-            problems.append(f"POVM completeness off by {abs(total - 1):.2e} at eta={eta}")
+        elements = ref.click_elements(eta, 1.3, 12, 40)
+        total = sum(elements.values())
+        if np.max(np.abs(total - np.eye(12))) > 1e-10:
+            problems.append(f"POVM completeness off by "
+                            f"{np.max(np.abs(total - np.eye(12))):.2e} at eta={eta}")
+        pi, _ = herald_operator(DetectorModel(eta, 12), 1.3)
+        if np.max(np.abs(elements[ref.BOTH_CLICK] - pi)) > 1e-12:
+            problems.append(f"herald operator off the circuit at eta={eta}")
 
     # beam-splitter coherent-state covariance on a 5x5 amplitude grid
     params = BeamSplitterParams(0.6, 0.8)
+    u1 = beam_splitter_unitary(params)
     worst_cov = 1.0
     for a in np.linspace(-1.5, 1.5, 5):
         for b in np.linspace(-1.5, 1.5, 5):
-            psi2 = apply_beam_splitter(
-                MultiModeState(np.tensordot(coherent_state(a).amplitudes,
-                                            coherent_state(b).amplitudes, axes=0)),
-                0, 1, params)
+            psi2 = u1 @ np.kron(coherent_state(a).amplitudes, coherent_state(b).amplitudes)
             want_a = params.transmittivity * a + params.reflectivity * b
             want_b = -params.reflectivity * a + params.transmittivity * b
-            want = MultiModeState(np.tensordot(coherent_state(want_a).amplitudes,
-                                               coherent_state(want_b).amplitudes, axes=0))
-            worst_cov = min(worst_cov, fidelity_pure(psi2, want))
+            want = np.kron(coherent_state(want_a).amplitudes,
+                           coherent_state(want_b).amplitudes)
+            worst_cov = min(worst_cov, abs(np.vdot(want, psi2)) ** 2)
     if worst_cov < 1 - 1e-8:
         problems.append(f"covariance fidelity {worst_cov:.10f}")
 

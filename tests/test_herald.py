@@ -7,31 +7,13 @@ import numpy as np
 import pytest
 
 import catamp.protocol
-from catamp import (BOTH_CLICK, BeamSplitterParams, DegenerateProbabilityError,
-                    DetectorModel, MultiModeState, SourceModel, StageParams, amplify_once,
-                    apply_beam_splitter, beam_splitter_unitary, cat_state,
-                    coherent_state, condition, mixed_inputs, optimal_squeezing,
-                    projector, tensor)
-from catamp.detection import herald_operator, outcome_diagonal
+import circuit_reference as ref
+from catamp import (DegenerateProbabilityError, DetectorModel, SourceModel,
+                    StageParams, amplify_once, cat_state, mixed_inputs,
+                    optimal_squeezing, projector)
+from catamp.detection import herald_operator
 
 PI = math.pi
-FIFTY = BeamSplitterParams.fifty_fifty()
-
-
-def _circuit_herald(eta, gamma, cutoff, wide):
-    """Both-click element on the first ``cutoff`` dump states, from the
-    truncated 50:50 unitary on dump x |gamma> at cutoff ``wide`` and the
-    click diagonals of both detectors."""
-    u2 = beam_splitter_unitary(FIFTY, wide)
-    aux = coherent_state(gamma, wide).amplitudes
-    click = outcome_diagonal(DetectorModel(eta, wide), True)
-    out = np.zeros((cutoff, wide * wide), dtype=np.complex128)
-    for m in range(cutoff):
-        dump = np.zeros((wide, wide), dtype=np.complex128)
-        dump[m] = aux
-        out[m] = u2 @ dump.ravel()
-    weighted = out * np.sqrt(np.kron(click, click))[None, :]
-    return weighted.conj() @ weighted.T
 
 
 def _root(pi):
@@ -40,21 +22,14 @@ def _root(pi):
 
 
 def _three_mode_stage(input_a, input_b, stage):
-    """Unnormalized stage output through the generic 3-mode route: each
-    branch pair is tensored with |gamma>, mixed on bs1 and the truncated
-    50:50 splitter, and conditioned on both detectors clicking."""
-    cutoff = input_a.cutoff
-    aux = coherent_state(stage.gamma, cutoff)
-    model = DetectorModel(stage.eta, cutoff)
-    rho = np.zeros((cutoff, cutoff), dtype=np.complex128)
+    """Unnormalized stage output through the brute-force 3-mode circuit,
+    one branch pair at a time."""
+    rho = 0.0
     branches = [input_a.eigenbranches()[:2], input_b.eigenbranches()[:2]]
     for wa, a in zip(branches[0][0], branches[0][1].T):
         for wb, b in zip(branches[1][0], branches[1][1].T):
-            psi = tensor(tensor(MultiModeState(a), MultiModeState(b)), aux)
-            psi = apply_beam_splitter(psi, 0, 1, stage.bs1)
-            psi = apply_beam_splitter(psi, 1, 2, FIFTY)
-            sub, _ = condition(psi, 1, 2, BOTH_CLICK, model)
-            rho += wa * wb * sub.matrix
+            out = ref.stage(a, b, stage.bs1, stage.gamma, stage.eta)
+            rho = rho + wa * wb * out[ref.BOTH_CLICK]
     return rho
 
 
@@ -64,7 +39,7 @@ def test_herald_matches_brute_force_circuit(eta, gamma):
     # 50:50 blocks below 40 photons in total are exact, and |gamma> puts
     # < 1e-14 of its weight beyond the 30 photons the 10 dump states leave
     pi, _ = herald_operator(DetectorModel(eta, 10), gamma)
-    want = _circuit_herald(eta, gamma, 10, 40)
+    want = ref.click_elements(eta, gamma, 10, 40)[ref.BOTH_CLICK]
     assert np.max(np.abs(pi - want)) <= 1e-12
 
 
@@ -110,7 +85,7 @@ def test_kernel_with_truncated_herald_reproduces_three_mode_route(case, monkeypa
     exact = amplify_once(rho_a, rho_b, stage)
     # the both-click element as the 3-mode route sees it: auxiliary and
     # detector modes cut at the stage cutoff
-    pi = _circuit_herald(stage.eta, stage.gamma, cutoff, cutoff).real
+    pi = ref.click_elements(stage.eta, stage.gamma, cutoff, cutoff)[ref.BOTH_CLICK].real
     monkeypatch.setattr(catamp.protocol, "herald_operator",
                         lambda model, gamma: (pi, _root(pi)))
     res = amplify_once(rho_a, rho_b, stage)

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import circuit_reference as ref
 from catamp import (CatSpec, SqueezeSpec, cat_state, coherent_state,
-                    fidelity_pure, fock_state, squeeze_unitary,
-                    squeezed_photon, squeezed_vacuum)
+                    fidelity_pure, fock_state, squeezed_photon, squeezed_vacuum)
+
+# r of the purification table (0.083), the optimum for alpha = 2.5 (1.07),
+# and both signs; the reference is the matrix exponential at cutoff 120,
+# cut to the first 30 levels and renormalised
+WIDE_EXPM_R = (0.083, 0.6, 1.07, -0.7)
 
 
 def test_fock_state_basis_vectors():
@@ -104,20 +109,23 @@ def test_squeezed_vacuum_mean_photon_number():
 
 
 def test_squeezed_photon_agrees_with_squeeze_unitary():
-    # series route vs matrix-exponential route, protocol-relevant regime
-    for r in (0.05, 0.2):
-        col = squeeze_unitary(r)[:, 1]
-        ser = squeezed_photon(r).amplitudes
-        assert np.max(np.abs(col - ser)) < 1e-10
-    # near the cutoff the top rows of the exponential degrade first; the
-    # physically used part stays clean through r = 0.35
-    for r in (0.313, 0.35):
-        col = squeeze_unitary(r)[:, 1]
-        ser = squeezed_photon(r).amplitudes
-        assert np.max(np.abs(col - ser)[:20]) < 1e-10
-    d = np.abs(squeeze_unitary(0.5)[:, 1] - squeezed_photon(0.5).amplitudes)
-    assert d.max() < 1e-4
-    assert d[:10].max() < 1e-9
+    for r in WIDE_EXPM_R:
+        diff = np.abs(squeezed_photon(r).amplitudes - ref.squeezed(r, 1, 30))
+        assert diff.max() <= 1e-13, r
+
+
+def test_squeezed_vacuum_agrees_with_squeeze_unitary():
+    for r in WIDE_EXPM_R:
+        diff = np.abs(squeezed_vacuum(r).amplitudes - ref.squeezed(r, 0, 30))
+        assert diff.max() <= 1e-13, r
+
+
+def test_squeezed_state_leakage_matches_wide_reference():
+    # the weight beyond the cutoff, which the series renormalises away
+    for r in WIDE_EXPM_R:
+        for k, state in ((1, squeezed_photon), (0, squeezed_vacuum)):
+            kept = ref.squeeze_unitary(r, 120)[:30, k]
+            assert abs(state(r).leakage - (1.0 - kept @ kept)) <= 1e-13, (r, k)
 
 
 def test_squeeze_spec_range():
