@@ -9,7 +9,7 @@ grow the cat amplitude by sqrt(2) per iteration.
 from .detection import DegenerateProbabilityError, DetectorModel
 from .fock import (DEFAULT_CUTOFF, DensityOperator, MultiModeState,
                    fidelity_mixed, fidelity_pure, projector)
-from .optics import BeamSplitterParams, beam_splitter_unitary
+from .optics import BeamSplitterParams, apply_beam_splitter
 from .protocol import (IterationResult, Schedule, SourceModel, StageParams,
                        amplify_once, best_schedule, homodyne_error,
                        mixed_inputs, optimal_squeezing, plan_schedule,
@@ -25,7 +25,7 @@ __all__ = [
     "fidelity_pure", "fidelity_mixed",
     "CatSpec", "SqueezeSpec", "fock_state", "coherent_state", "cat_state",
     "squeezed_photon", "squeezed_vacuum",
-    "BeamSplitterParams", "beam_splitter_unitary",
+    "BeamSplitterParams", "apply_beam_splitter",
     "DetectorModel", "DegenerateProbabilityError",
     "StageParams", "IterationResult", "SourceModel", "Schedule",
     "plan_schedule", "prepare_source", "amplify_once", "run_schedule",

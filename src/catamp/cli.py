@@ -33,8 +33,9 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
 
-    # one dense U1 (16 cutoff^4 bytes) is cached at a time; 64 is the
-    # largest cutoff at which it fits in 256 MiB
+    # a full-rank mixed input makes a c^2 x c^2 array of branch pairs
+    # (16 cutoff^4 bytes) however U1 is stored; 64 is the largest cutoff
+    # at which it fits in 256 MiB
     MAX_CUTOFF = 64
 
     def __post_init__(self):

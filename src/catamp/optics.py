@@ -4,7 +4,9 @@ The phase convention is pinned to the coherent-state rule
 
     B(r, t) |a>|b>  ->  |t*a + r*b> |-r*a + t*b>
 
-which the covariance tests enforce.
+which the covariance tests enforce. U1 conserves photon number, so it is
+stored and applied as one real orthogonal block per total photon number
+N, acting on the states |k, N-k>; no c^2 x c^2 matrix is ever built.
 """
 
 from __future__ import annotations
@@ -12,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-
-from .fock import DEFAULT_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -43,38 +43,77 @@ class BeamSplitterParams:
         return math.atan2(self.reflectivity, self.transmittivity)
 
 
-# One dense c^2 x c^2 matrix at a time: every schedule runs at a single
-# 50:50 angle per cutoff, and a sweep over ratios would miss any cache.
-@lru_cache(maxsize=1)
-def _beam_splitter_cached(theta: float, cutoff: int) -> np.ndarray:
+class _MixingBasis(NamedTuple):
+    order: np.ndarray    # flat two-mode indices by photon number N, then k
+    inverse: np.ndarray  # the permutation that undoes ``order``
+    values: np.ndarray   # eigenvalues of i g_N, block after block
+    blocks: tuple        # per block: its row slice in ``order``, V and V^dag
+
+
+@lru_cache(maxsize=8)
+def _mixing_basis(cutoff: int) -> _MixingBasis:
+    """The angle-free part of U1 at one cutoff, built on first use.
+
+    In block N the mixing generator g_N = adag_1 a_2 - a_1 adag_2 on the
+    states |k, N-k> (k ascending) is real antisymmetric, so i g_N is
+    Hermitian and its eigenpairs (lambda, V) serve every mixing angle.
+    Blocks above N = cutoff-1 are partial: only there does U1 deviate
+    from the untruncated physics.
+    """
     c = cutoff
-    u = np.zeros((c * c, c * c), dtype=np.complex128)
+    first, second = np.divmod(np.arange(c * c), c)
+    order = np.lexsort((first, first + second))
+    values, blocks = [], []
+    start = 0
     for total in range(2 * c - 1):
-        ks = np.arange(max(0, total - c + 1), min(total, c - 1) + 1)
-        d = len(ks)
-        flat = ks * c + (total - ks)
-        if d == 1:
-            u[flat[0], flat[0]] = 1.0
-            continue
-        # generator of adag_1 a_2 - a_1 adag_2 restricted to this block
+        k = np.arange(max(0, total - c + 1), min(total, c - 1))
+        d = len(k) + 1
         g = np.zeros((d, d))
-        k = ks[:-1]
         amp = np.sqrt((k + 1.0) * (total - k))
         g[np.arange(1, d), np.arange(d - 1)] = amp
         g[np.arange(d - 1), np.arange(1, d)] = -amp
-        u[np.ix_(flat, flat)] = expm(theta * g)
-    u.flags.writeable = False
-    return u
+        lam, v = np.linalg.eigh(1j * g)
+        values.append(lam)
+        blocks.append((slice(start, start + d), v, v.conj().T.copy()))
+        start += d
+    return _MixingBasis(order, np.argsort(order), np.concatenate(values), tuple(blocks))
 
 
-def beam_splitter_unitary(params: BeamSplitterParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
-    """Two-mode beam-splitter unitary, block-diagonal by total photon number.
+# One set of blocks at a time: every schedule runs at a single 50:50
+# angle per cutoff, and a sweep over ratios would miss any cache.
+@lru_cache(maxsize=1)
+def _beam_splitter_blocks(theta: float, cutoff: int) -> tuple[np.ndarray, ...]:
+    """U1's blocks exp(theta g_N) = 1 + V diag(expm1(-i theta lambda)) V^dag,
+    N ascending; real, orthogonal to round-off and read-only."""
+    basis = _mixing_basis(cutoff)
+    phase = np.expm1(-1j * theta * basis.values)
+    blocks = []
+    for rows, v, vh in basis.blocks:
+        b = ((v * phase[rows]) @ vh).real.copy()
+        b.flat[::len(b) + 1] += 1.0
+        b.flags.writeable = False
+        blocks.append(b)
+    return tuple(blocks)
 
-    Each block is the exponential of the truncated mixing generator, so
-    the matrix is exactly unitary and exactly number-conserving; blocks
-    with total photon number above cutoff-1 are partial and only there
-    does the matrix deviate from the untruncated physics. The first mode
-    is the slower half of the flattened index. Cached by mixing angle,
-    one matrix at a time, and read-only.
+
+def apply_beam_splitter(params: BeamSplitterParams, x) -> np.ndarray:
+    """Two-mode beam splitter U1 applied to the c^2 rows of ``x``.
+
+    ``x`` is one flattened two-mode amplitude vector, or a c^2 x k array
+    of them as columns, with the first mode the slower half of the flat
+    index. The rows are permuted once into photon-number order, each
+    block multiplies its own contiguous row slice, and the result is
+    permuted back. Blocks are cached by mixing angle, one angle at a
+    time, so every spelling of one ratio shares them.
     """
-    return _beam_splitter_cached(params.mixing_angle, int(cutoff))
+    x = np.asarray(x, dtype=np.complex128)
+    c = math.isqrt(x.shape[0]) if x.ndim in (1, 2) else 0
+    if c == 0 or c * c != x.shape[0]:
+        raise ValueError(f"expected c^2 rows of two-mode amplitudes, got shape {x.shape}")
+    basis = _mixing_basis(c)
+    y = x.reshape(c * c, -1)[basis.order]
+    # the blocks are real, so they act on the real and imaginary parts at once
+    parts = y.view(np.float64)
+    for (rows, _, _), b in zip(basis.blocks, _beam_splitter_blocks(params.mixing_angle, c)):
+        parts[rows] = b @ parts[rows]
+    return y[basis.inverse].reshape(x.shape)

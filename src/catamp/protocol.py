@@ -25,7 +25,7 @@ from .detection import (PROBABILITY_FLOOR, DegenerateProbabilityError,
                         DetectorModel, herald_operator)
 from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator,
                    MultiModeState, fidelity_mixed, projector)
-from .optics import BeamSplitterParams, beam_splitter_unitary
+from .optics import BeamSplitterParams, apply_beam_splitter
 from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
 SOURCE_KINDS = ("ideal-cat", "squeezed-photon", "mixed-photon")
@@ -99,6 +99,8 @@ class SourceModel:
             raise ValueError(f"production inefficiency p must lie in [0, 1), got {self.p}")
         if self.kind != "mixed-photon" and self.p != 0.0:
             raise ValueError(f"p applies to mixed-photon sources only, got p={self.p} for {self.kind}")
+        if self.kind == "ideal-cat" and self.r is not None:
+            raise ValueError(f"r applies to squeezed sources only, got r={self.r} for ideal-cat")
 
 
 @dataclass(frozen=True)
@@ -167,18 +169,20 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     propagated branch-pairwise, which is exact for product inputs.
     """
     wa, va, disc_a, leak_a = _input_branches(input_a, "first")
-    wb, vb, disc_b, leak_b = _input_branches(input_b, "second")
+    # a schedule feeds one state to both ports: decompose it once
+    wb, vb, disc_b, leak_b = (_input_branches(input_b, "second") if input_b is not input_a
+                              else (wa, va, disc_a, leak_a))
     cutoff = va.shape[0]
     if vb.shape[0] != cutoff:
         raise ValueError(f"cutoff mismatch between inputs: {cutoff} vs {vb.shape[0]}")
 
-    u1 = beam_splitter_unitary(params.bs1, cutoff)
     _, root = herald_operator(DetectorModel(eta=params.eta, cutoff=cutoff), params.gamma)
     # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, bright index slowest
     pairs = ((va * np.sqrt(wa))[:, None, :, None]
              * (vb * np.sqrt(wb))[None, :, None, :]).reshape(cutoff * cutoff, -1)
+    mixed = apply_beam_splitter(params.bs1, pairs)
     # Pi^{1/2} on the dump axis: rho = Y Y^dag is Hermitian PSD by construction
-    y = (root @ (u1 @ pairs).reshape(cutoff, cutoff, -1)).reshape(cutoff, -1)
+    y = (root @ mixed.reshape(cutoff, cutoff, -1)).reshape(cutoff, -1)
     rho = y @ y.conj().T
     probability = float(np.trace(rho).real)
     if probability < PROBABILITY_FLOOR:
@@ -263,6 +267,8 @@ def best_schedule(alpha_target: float, max_n: int = 6,
     """
     if not 0.0 < alpha_target <= 2.5:
         raise ValueError("target amplitude must lie in (0, 2.5], the validated regime")
+    if max_n < 0:
+        raise ValueError(f"largest iteration count must be non-negative, got {max_n}")
     best = (-1, -1.0)
     for n in range(max_n + 1):
         sched = plan_schedule(alpha_target, n)

@@ -6,10 +6,12 @@ away: the inputs a (x) b (x) |gamma> as one c x c x c amplitude array
 splitter on modes (1, 2), and two threshold detectors on modes 1 and 2
 with diagonal click elements 1 - (1-eta)^n. Every mode is cut at the
 array's size, so the auxiliary and detector modes carry the truncation
-the closed-form herald removes. Also the matrix-exponential squeeze
+the closed-form herald removes. U1 and the 50:50 splitter are dense
+c^2 x c^2 matrices, one ``expm`` per photon-number block, built here
+rather than by catamp's block apply. Also the matrix-exponential squeeze
 unitary, a reference for the closed-form squeezed states.
 
-Only ``beam_splitter_unitary`` and ``coherent_state`` come from catamp.
+Only ``BeamSplitterParams`` and ``coherent_state`` come from catamp.
 """
 
 from functools import reduce
@@ -17,7 +19,7 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import expm
 
-from catamp import BeamSplitterParams, beam_splitter_unitary, coherent_state
+from catamp import BeamSplitterParams, coherent_state
 
 FIFTY = BeamSplitterParams.fifty_fifty()
 
@@ -29,6 +31,29 @@ BOTH_CLICK = (True, True)
 def product(*amplitudes):
     """Tensor product of amplitude arrays, the first one slowest."""
     return reduce(np.multiply.outer, amplitudes)
+
+
+def beam_splitter_blocks(params, cutoff):
+    """(flat indices, expm of the mixing generator) per total photon number
+    N, on the states |k, N-k> with k ascending and the first mode slowest."""
+    c, theta = cutoff, params.mixing_angle
+    for total in range(2 * c - 1):
+        ks = np.arange(max(0, total - c + 1), min(total, c - 1) + 1)
+        d = len(ks)
+        # generator of adag_1 a_2 - a_1 adag_2 restricted to this block
+        g = np.zeros((d, d))
+        amp = np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1]))
+        g[np.arange(1, d), np.arange(d - 1)] = amp
+        g[np.arange(d - 1), np.arange(1, d)] = -amp
+        yield ks * c + (total - ks), expm(theta * g)
+
+
+def beam_splitter_unitary(params, cutoff):
+    """The dense two-mode beam-splitter matrix, block by block."""
+    u = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=np.complex128)
+    for flat, block in beam_splitter_blocks(params, cutoff):
+        u[np.ix_(flat, flat)] = block
+    return u
 
 
 def apply_two_mode(u, psi, m1, m2):

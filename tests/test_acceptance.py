@@ -41,7 +41,7 @@ import numpy as np
 
 import circuit_reference as ref
 from catamp import (BeamSplitterParams, DetectorModel, SourceModel,
-                    StageParams, amplify_once, beam_splitter_unitary,
+                    StageParams, amplify_once, apply_beam_splitter,
                     best_schedule, cat_state, coherent_state, fidelity_mixed,
                     fidelity_pure, homodyne_error, mixed_inputs,
                     optimal_squeezing, plan_schedule, run_schedule,
@@ -268,11 +268,11 @@ def test_criterion_8_property_suites():
 
     # beam-splitter coherent-state covariance on a 5x5 amplitude grid
     params = BeamSplitterParams(0.6, 0.8)
-    u1 = beam_splitter_unitary(params)
     worst_cov = 1.0
     for a in np.linspace(-1.5, 1.5, 5):
         for b in np.linspace(-1.5, 1.5, 5):
-            psi2 = u1 @ np.kron(coherent_state(a).amplitudes, coherent_state(b).amplitudes)
+            psi2 = apply_beam_splitter(params, np.kron(coherent_state(a).amplitudes,
+                                                       coherent_state(b).amplitudes))
             want_a = params.transmittivity * a + params.reflectivity * b
             want_b = -params.reflectivity * a + params.transmittivity * b
             want = np.kron(coherent_state(want_a).amplitudes,

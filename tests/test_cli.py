@@ -149,6 +149,10 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")
     assert main(["purify", "--config", str(bad)]) == 1
+    # a negative iteration range and squeezing for an ideal cat are bad input
+    assert main(["fig4", "--max-n", "-1"]) == 1
+    assert main(["amplify", "--alpha-target", "1.0", "--source", "ideal-cat",
+                 "--r", "0.3"]) == 1
     # eta = 0 kills every click: numerical degeneracy is exit code 2
     assert main(["amplify", "--alpha-target", "1.0", "--iterations", "1",
                  "--eta", "0.0"]) == 2
@@ -166,7 +170,7 @@ def test_cutoff_beyond_the_memory_budget_is_refused_before_allocation(capsys):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # a 100000-state U1 would take 1.6e21 bytes
+    assert peak < 1 << 20  # a 100000-state pair array would take 1.6e21 bytes
     assert "cutoff" in capsys.readouterr().err
 
 

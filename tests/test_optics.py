@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import (BeamSplitterParams, beam_splitter_unitary, cat_state,
+from catamp import (BeamSplitterParams, apply_beam_splitter, cat_state,
                     coherent_state, fock_state, squeezed_photon)
-from catamp.optics import _beam_splitter_cached
+from catamp.optics import _beam_splitter_blocks
 
 FIFTY = BeamSplitterParams.fifty_fifty()
 
@@ -14,7 +14,7 @@ FIFTY = BeamSplitterParams.fifty_fifty()
 def _mix(params, a, b):
     """U1 applied to the product |a>|b>, as a c x c amplitude array."""
     c = len(a)
-    return (beam_splitter_unitary(params, c) @ np.kron(a, b)).reshape(c, c)
+    return apply_beam_splitter(params, np.kron(a, b)).reshape(c, c)
 
 
 def _overlap(x, y):
@@ -55,17 +55,53 @@ def test_squeeze_unitary_unitarity_on_low_block(r):
 
 
 def test_beam_splitter_identity_when_fully_transmitting():
-    u = beam_splitter_unitary(BeamSplitterParams(0.0, 1.0), 10)
+    u = apply_beam_splitter(BeamSplitterParams(0.0, 1.0), np.eye(100))
     assert np.allclose(u, np.eye(100), atol=1e-15)
 
 
 def test_beam_splitter_block_structure_is_exact():
     c = 10
-    u = beam_splitter_unitary(FIFTY, c)
+    u = apply_beam_splitter(FIFTY, np.eye(c * c))
     i1, i2 = np.divmod(np.arange(c * c), c)
     total = i1 + i2
     off_block = u[total[:, None] != total[None, :]]
     assert np.all(off_block == 0.0)
+
+
+THETAS = [0.3, math.pi / 4, 1.2]
+
+
+@pytest.mark.parametrize("cutoff", [8, 30, 64])
+@pytest.mark.parametrize("theta", THETAS)
+def test_blocks_match_reference_expm_matrix(cutoff, theta):
+    # column by column against the reference's dense per-block expm, so
+    # the c^2 x c^2 matrix is never built on either side
+    params = BeamSplitterParams(math.sin(theta), math.cos(theta))
+    worst = 0.0
+    for flat, block in ref.beam_splitter_blocks(params, cutoff):
+        cols = np.zeros((cutoff * cutoff, len(flat)))
+        cols[flat, np.arange(len(flat))] = 1.0
+        want = np.zeros_like(cols)
+        want[flat] = block
+        worst = max(worst, np.abs(apply_beam_splitter(params, cols) - want).max())
+    assert worst < 1e-11
+
+
+@pytest.mark.parametrize("cutoff", [8, 30, 64])
+@pytest.mark.parametrize("theta", THETAS)
+def test_blocks_are_orthogonal(cutoff, theta):
+    blocks = _beam_splitter_blocks(theta, cutoff)
+    assert len(blocks) == 2 * cutoff - 1
+    for b in blocks:
+        assert b.dtype == np.float64
+        assert np.abs(b.T @ b - np.eye(len(b))).max() < 1e-13
+
+
+def test_apply_beam_splitter_rejects_non_square_row_count():
+    with pytest.raises(ValueError):
+        apply_beam_splitter(FIFTY, np.zeros((10, 2)))
+    with pytest.raises(ValueError):
+        apply_beam_splitter(FIFTY, np.zeros((4, 2, 2)))
 
 
 def test_beam_splitter_coherent_displacement_rule():
@@ -106,10 +142,9 @@ def test_apply_beam_splitter_preserves_norm_and_vacuum():
 def test_apply_beam_splitter_inverse_pair():
     # B(r, t)^-1 = B(-r, t), realized by feeding the modes in reverse order
     params = BeamSplitterParams(0.6, 0.8)
-    u = beam_splitter_unitary(params, 20)
     a, b = coherent_state(0.9, 20).amplitudes, coherent_state(-0.5, 20).amplitudes
-    fwd = (u @ np.kron(a, b)).reshape(20, 20)
-    back = (u @ fwd.T.ravel()).reshape(20, 20).T
+    fwd = apply_beam_splitter(params, np.kron(a, b)).reshape(20, 20)
+    back = apply_beam_splitter(params, fwd.T.ravel()).reshape(20, 20).T
     assert np.max(np.abs(back - np.outer(a, b))) < 1e-10
 
 
@@ -117,7 +152,7 @@ def test_apply_beam_splitter_mode_collision():
     # the reference cannot mix a mode with itself
     psi = ref.product(*(fock_state(0, 8).amplitudes,) * 3)
     with pytest.raises(ValueError):
-        ref.apply_two_mode(beam_splitter_unitary(FIFTY, 8), psi, 1, 1)
+        ref.apply_two_mode(ref.beam_splitter_unitary(FIFTY, 8), psi, 1, 1)
 
 
 def test_two_cat_interference_matches_coherent_construction():
@@ -134,19 +169,23 @@ def test_two_cat_interference_matches_coherent_construction():
 
 
 def test_unitary_cache_returns_consistent_readonly_matrices():
-    u1 = beam_splitter_unitary(FIFTY, 12)
-    u2 = beam_splitter_unitary(BeamSplitterParams.fifty_fifty(), 12)
-    assert np.array_equal(u1, u2)
-    assert not u1.flags.writeable
+    u1 = _beam_splitter_blocks(FIFTY.mixing_angle, 12)
+    u2 = _beam_splitter_blocks(BeamSplitterParams.fifty_fifty().mixing_angle, 12)
+    assert all(np.array_equal(b1, b2) for b1, b2 in zip(u1, u2))
+    assert not any(b.flags.writeable for b in u1)
 
 
 def test_unitary_cache_holds_one_matrix():
     # every spelling of 50:50 is one mixing angle, so a schedule whose
-    # planned ratios differ in the last bit still reuses its matrix
+    # planned ratios differ in the last bit still reuses its blocks
     half = BeamSplitterParams(0.7071067811865476, 0.7071067811865476)
     assert half != FIFTY
-    assert beam_splitter_unitary(half, 12) is beam_splitter_unitary(FIFTY, 12)
+    vac = np.kron(fock_state(0, 12).amplitudes, fock_state(0, 12).amplitudes)
+    _beam_splitter_blocks.cache_clear()
+    apply_beam_splitter(half, vac)
+    apply_beam_splitter(FIFTY, vac)
+    assert _beam_splitter_blocks.cache_info().hits == 1
     for params in (BeamSplitterParams(0.6, 0.8), FIFTY, BeamSplitterParams(0.28, 0.96)):
         for cutoff in (8, 12):
-            beam_splitter_unitary(params, cutoff)
-            assert _beam_splitter_cached.cache_info().currsize == 1
+            apply_beam_splitter(params, np.eye(cutoff * cutoff)[0])
+            assert _beam_splitter_blocks.cache_info().currsize == 1

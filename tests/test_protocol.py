@@ -240,6 +240,13 @@ def test_best_schedule_anchor_and_small_target():
         best_schedule(3.0)
 
 
+def test_best_schedule_rejects_negative_iteration_count():
+    # the (-1, -1.0) sentinel must never come back as a schedule
+    with pytest.raises(ValueError):
+        best_schedule(1.0, max_n=-1)
+    assert best_schedule(1.0, max_n=0)[0] == 0
+
+
 def test_sources_validate():
     with pytest.raises(ValueError):
         SourceModel("laser")
@@ -249,6 +256,8 @@ def test_sources_validate():
         SourceModel("mixed-photon", p=1.0)
     with pytest.raises(ValueError):
         mixed_inputs(SourceModel("mixed-photon", p=0.2))  # r unresolved
+    with pytest.raises(ValueError):
+        SourceModel("ideal-cat", r=0.3)  # an ideal cat has no squeezing
     assert isinstance(prepare_source(SourceModel("mixed-photon", p=0.2), 0.5),
                       DensityOperator)
 
