@@ -1,6 +1,6 @@
 """Dense linear algebra on truncated bosonic Fock spaces.
 
-Pure state vectors, single-mode density operators, projectors and
+Single-mode pure state vectors and density operators, projectors and
 fidelities. Every value is immutable after
 construction and every operation is a pure function of its inputs, so
 instances can be shared freely across parameter-sweep workers.
@@ -23,31 +23,24 @@ LEAKAGE_WARN = 1e-6
 
 
 class MultiModeState:
-    """Pure state of one or more bosonic modes sharing a Fock cutoff.
+    """Pure state of one bosonic mode on a truncated Fock basis.
 
-    The amplitude array carries one axis per mode (mode 0 slowest
-    varying) and is read-only. ``leakage`` records the squared-norm
-    deficit a constructor absorbed when renormalizing a truncated
-    expansion; 0 for states that fit the cutoff exactly.
+    The amplitude vector is one-dimensional and read-only. ``leakage``
+    records the squared-norm deficit a constructor absorbed when
+    renormalizing a truncated expansion; 0 for states that fit the
+    cutoff exactly.
     """
 
     def __init__(self, amplitudes, leakage: float = 0.0):
         arr = np.array(amplitudes, dtype=np.complex128)
-        if arr.ndim < 1:
-            raise ValueError("amplitude array needs at least one mode axis")
-        cutoff = arr.shape[0]
-        if cutoff < 1 or any(s != cutoff for s in arr.shape):
-            raise ValueError(f"modes must share a single cutoff, got shape {arr.shape}")
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError(f"amplitudes must be a non-empty vector, got shape {arr.shape}")
         nsq = float(np.vdot(arr, arr).real)
         if not np.isfinite(nsq) or nsq <= 0.0:
             raise ValueError("state vector must be finite and non-null")
         arr.flags.writeable = False
         self.amplitudes = arr
         self.leakage = float(leakage)
-
-    @property
-    def mode_count(self) -> int:
-        return self.amplitudes.ndim
 
     @property
     def cutoff(self) -> int:
@@ -62,8 +55,7 @@ class MultiModeState:
         return abs(self.norm_sq - 1.0) <= NORMALIZATION_TOL
 
     def __repr__(self):
-        return (f"MultiModeState(modes={self.mode_count}, cutoff={self.cutoff}, "
-                f"norm_sq={self.norm_sq:.6f})")
+        return f"MultiModeState(cutoff={self.cutoff}, norm_sq={self.norm_sq:.6f})"
 
 
 class DensityOperator:
@@ -117,9 +109,7 @@ class DensityOperator:
 
 
 def projector(psi: MultiModeState) -> DensityOperator:
-    """|psi><psi| for a single-mode pure state."""
-    if psi.mode_count != 1:
-        raise ValueError("projector is defined for single-mode states only")
+    """|psi><psi| for a pure state."""
     v = psi.amplitudes
     m = np.outer(v, v.conj())
     return DensityOperator(0.5 * (m + m.conj().T))
@@ -136,9 +126,7 @@ def fidelity_pure(psi: MultiModeState, phi: MultiModeState) -> float:
 
 
 def fidelity_mixed(rho: DensityOperator, psi: MultiModeState) -> float:
-    """<psi|rho|psi> against a unit-norm single-mode pure state."""
-    if psi.mode_count != 1:
-        raise ValueError("target state must be single-mode")
+    """<psi|rho|psi> against a unit-norm pure state."""
     if rho.cutoff != psi.cutoff:
         raise ValueError(f"cutoff mismatch: {rho.cutoff} vs {psi.cutoff}")
     if not psi.is_normalized:

@@ -7,9 +7,9 @@ detectors click. The output approximates a cat of amplitude
 sqrt(alpha^2 + beta^2) whose relative phase is the sum of the input
 phases, so iterating grows the amplitude by sqrt(2) per step.
 
-Closed-form companions (success probability, squeezed-photon fidelity,
-homodyne discrimination error) are evaluated independently of the
-simulator and serve as its oracles.
+Closed-form companions (success probability, squeezed-photon fidelity
+and its optimal squeezing, homodyne discrimination error) are evaluated
+independently of the simulator and serve as its oracles.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import erfc
 
 from .detection import (PROBABILITY_FLOOR, DegenerateProbabilityError,
                         DetectorModel, herald_operator)
@@ -145,8 +143,6 @@ def _input_branches(state, label: str):
     Returns (weights, column vectors, discarded weight, leakage).
     """
     if isinstance(state, MultiModeState):
-        if state.mode_count != 1:
-            raise ValueError(f"{label} input must be single-mode")
         if not state.is_normalized:
             raise ValueError(f"{label} input must have unit norm")
         return np.array([1.0]), state.amplitudes[:, None], 0.0, state.leakage
@@ -282,6 +278,12 @@ def best_schedule(alpha_target: float, max_n: int = 6,
 # Closed-form analytics (evaluated independently of the simulator).
 # ---------------------------------------------------------------------------
 
+def _one_plus_cos_exp(phi: float, x: float) -> float:
+    """1 + cos(phi) e^{-x} without cancellation as x -> 0 at phi = pi."""
+    c = math.cos(phi)
+    return (1.0 + c) + c * math.expm1(-x)
+
+
 def success_probability(alpha: float, beta: float, phi_a: float, phi_b: float) -> float:
     """Single-iteration success probability of the double-click herald.
 
@@ -289,12 +291,12 @@ def success_probability(alpha: float, beta: float, phi_a: float, phi_b: float) -
         / (2 (1 + cos(phi_a) e^{-2 a^2}) (1 + cos(phi_b) e^{-2 b^2}))
     """
     asq, bsq = alpha * alpha, beta * beta
-    na = 1.0 + math.cos(phi_a) * math.exp(-2.0 * asq)
-    nb = 1.0 + math.cos(phi_b) * math.exp(-2.0 * bsq)
+    na = _one_plus_cos_exp(phi_a, 2.0 * asq)
+    nb = _one_plus_cos_exp(phi_b, 2.0 * bsq)
     if na <= 0.0 or nb <= 0.0:
         raise ValueError("null cat input: normalization denominator vanishes")
-    num = ((1.0 - math.exp(-2.0 * asq * bsq / (asq + bsq))) ** 2
-           * (1.0 + math.cos(phi_a + phi_b) * math.exp(-2.0 * (asq + bsq))))
+    num = (math.expm1(-2.0 * asq * bsq / (asq + bsq)) ** 2
+           * _one_plus_cos_exp(phi_a + phi_b, 2.0 * (asq + bsq)))
     return num / (2.0 * na * nb)
 
 
@@ -303,30 +305,25 @@ def squeezed_photon_cat_fidelity(r: float, alpha: float) -> float:
     F = 2 a^2 exp[a^2 (tanh r - 1)] / (cosh^3 r (1 - e^{-2 a^2}))."""
     if alpha <= 0.0:
         raise ValueError("cat amplitude must be positive")
-    return (2.0 * alpha * alpha * math.exp(alpha * alpha * (math.tanh(r) - 1.0))
-            / (math.cosh(r) ** 3 * (1.0 - math.exp(-2.0 * alpha * alpha))))
+    asq = alpha * alpha
+    return (2.0 * asq * math.exp(asq * (math.tanh(r) - 1.0))
+            / (math.cosh(r) ** 3 * -math.expm1(-2.0 * asq)))
 
 
 def optimal_squeezing(alpha: float) -> tuple[float, float]:
-    """Maximize the squeezed-photon/odd-cat fidelity over r.
+    """Maximize the squeezed-photon/odd-cat fidelity over r, in closed form.
 
-    Bracketed scalar search on [0, 2] with a Newton polish on the
-    stationarity equation alpha^2 sech^2(r) = 3 tanh(r), so the residual
-    slope at the reported optimum is at machine level. Returns
+    F(r) is proportional to exp(alpha^2 tanh r) / cosh^3 r, stationary
+    where alpha^2 sech^2 r = 3 tanh r. With t = tanh r that is the
+    quadratic alpha^2 t^2 + 3 t - alpha^2 = 0, whose positive root, in
+    the cancellation-free form t = 2 alpha^2 / (3 + sqrt(9 + 4 alpha^4)),
+    is the only stationary point and the global maximum. Returns
     (r_star, f_star).
     """
     if not 0.0 < alpha <= 2.5:
         raise ValueError("amplitude must lie in (0, 2.5], the validated regime")
-    res = minimize_scalar(lambda r: -squeezed_photon_cat_fidelity(r, alpha),
-                          bounds=(0.0, 2.0), method="bounded",
-                          options={"xatol": 1e-11})
-    r = float(res.x)
     asq = alpha * alpha
-    for _ in range(3):
-        sech2 = 1.0 / math.cosh(r) ** 2
-        g = asq * sech2 - 3.0 * math.tanh(r)
-        dg = -sech2 * (2.0 * asq * math.tanh(r) + 3.0)
-        r -= g / dg
+    r = math.atanh(2.0 * asq / (3.0 + math.sqrt(9.0 + 4.0 * asq * asq)))
     return r, squeezed_photon_cat_fidelity(r, alpha)
 
 
@@ -336,4 +333,4 @@ def homodyne_error(alpha: float) -> float:
     (1/2) erfc(sqrt(2) alpha)."""
     if alpha < 0.0:
         raise ValueError("amplitude must be non-negative")
-    return float(0.5 * erfc(math.sqrt(2.0) * alpha))
+    return 0.5 * math.erfc(math.sqrt(2.0) * alpha)

@@ -24,8 +24,8 @@ __all__ = [
     "squeezed_photon", "squeezed_vacuum",
 ]
 
-# Input guard on |r|: optimal_squeezing searches r in [0, 2], so every
-# squeezing the protocol derives lies inside it.
+# Input guard on user-supplied |r|; every optimal_squeezing r* lies at or
+# below r*(2.5) = 1.067, well inside it.
 MAX_SQUEEZE = 2.0
 
 
@@ -127,8 +127,9 @@ def cat_state(spec: "CatSpec | float", phi: float = math.pi,
     nsq = float(np.vdot(amp, amp).real)
     if nsq <= 0.0:
         raise ValueError("cat parameters produce a null vector")
-    # leakage relative to the untruncated norm 2(1 + cos(phi) e^{-2 alpha^2})
-    full = 2.0 * (1.0 + ph.real * math.exp(-2.0 * alpha * alpha))
+    # leakage relative to the untruncated norm 2(1 + cos(phi) e^{-2 alpha^2}),
+    # written with expm1 so tiny odd cats do not cancel to 0
+    full = 2.0 * ((1.0 + ph.real) + ph.real * math.expm1(-2.0 * alpha * alpha))
     deficit = max(0.0, 1.0 - nsq / full)
     return MultiModeState(amp / math.sqrt(nsq), leakage=deficit)
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import catamp
 from catamp.cli import (ConfigError, RunConfig, cmd_amplify, cmd_fig2,
                         cmd_fig3, cmd_fig4, cmd_purify, main, parse_config,
                         render_csv, render_json)
@@ -157,6 +162,17 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["amplify", "--alpha-target", "1.0", "--iterations", "1",
                  "--eta", "0.0"]) == 2
     capsys.readouterr()
+    # so is a schedule deep enough that alpha_i ~ 1e-9 starves the herald
+    assert main(["amplify", "--alpha-target", "2.0", "--iterations", "60"]) == 2
+    assert capsys.readouterr().err.startswith("degenerate:")
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = Path(catamp.__file__).resolve().parents[1]
+    code = "import sys, catamp; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cutoff_beyond_the_memory_budget_is_refused_before_allocation(capsys):

@@ -39,12 +39,12 @@ def test_tensor_coherent_pair_vacuum_amplitude():
 def test_tensor_norm_is_product_of_norms():
     a = MultiModeState(0.9 * coherent_state(0.7).amplitudes)
     b = MultiModeState(0.8 * coherent_state(0.3).amplitudes)
-    ab = MultiModeState(ref.product(a.amplitudes, b.amplitudes))
-    assert np.isclose(ab.norm_sq, a.norm_sq * b.norm_sq, atol=1e-12)
+    ab = ref.product(a.amplitudes, b.amplitudes)
+    assert np.isclose(np.vdot(ab, ab).real, a.norm_sq * b.norm_sq, atol=1e-12)
 
 
 def test_tensor_cutoff_mismatch_rejected():
-    # a product of unequal cutoffs is no state: modes share one cutoff
+    # a two-mode product is no single-mode state
     with pytest.raises(ValueError):
         MultiModeState(ref.product(fock_state(0, 8).amplitudes, fock_state(0, 10).amplitudes))
 
@@ -139,3 +139,5 @@ def test_states_reject_null_and_bad_shapes():
         MultiModeState(np.zeros(5))
     with pytest.raises(ValueError):
         MultiModeState(np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        MultiModeState(np.ones((4, 4)))  # one mode per state

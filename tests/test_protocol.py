@@ -6,11 +6,13 @@ from scipy import integrate
 
 from catamp import (DegenerateProbabilityError, DensityOperator, SourceModel,
                     StageParams, amplify_once, best_schedule, cat_state,
-                    fidelity_mixed, homodyne_error, mixed_inputs,
+                    fidelity_mixed, fock_state, homodyne_error, mixed_inputs,
                     optimal_squeezing, plan_schedule, prepare_source,
                     projector, run_schedule, squeezed_photon,
                     squeezed_photon_cat_fidelity, squeezed_vacuum,
                     success_probability)
+
+from catamp.cli import FIG3_GRID
 
 PI = math.pi
 ROOT2 = math.sqrt(2.0)
@@ -268,6 +270,30 @@ def test_squeezed_photon_fidelity_formula_values():
     assert squeezed_photon_cat_fidelity(0.0, 0.01) > 0.9999
     with pytest.raises(ValueError):
         squeezed_photon_cat_fidelity(0.1, 0.0)
+
+
+def test_closed_forms_survive_vanishing_amplitudes():
+    # 1 - e^{-2 alpha^2} rounds to 0 below alpha ~ 7e-9; a tiny odd cat is |1>
+    assert math.isclose(squeezed_photon_cat_fidelity(0.0, 1e-9), 1.0, rel_tol=1e-12)
+    assert math.isclose(fidelity_mixed(projector(fock_state(1)), cat_state(1e-9, PI)),
+                        1.0, rel_tol=1e-12)
+    assert cat_state(1e-9, PI).leakage < 1e-12
+    # two tiny odd cats are |1>|1>: P -> a^2 b^2 / (a^2 + b^2)^2 = 1/4
+    tiny = cat_state(1e-9, PI)
+    sim = amplify_once(tiny, tiny, StageParams.plan(1e-9, 1e-9, PI, PI)).probability
+    for p in (success_probability(1e-9, 1e-9, PI, PI), sim):
+        assert math.isclose(p, 0.25, rel_tol=1e-12)
+
+
+def test_optimal_squeezing_is_the_global_maximum_on_the_fig3_grid():
+    rs = np.linspace(0.0, 2.0, 20001)  # step 1e-4
+    for alpha in FIG3_GRID:
+        r_star, f_star = optimal_squeezing(alpha)
+        assert f_star == squeezed_photon_cat_fidelity(r_star, alpha)
+        grid_max = max(squeezed_photon_cat_fidelity(r, alpha) for r in rs)
+        assert f_star >= grid_max - 1e-12
+        residual = alpha * alpha / math.cosh(r_star) ** 2 - 3.0 * math.tanh(r_star)
+        assert abs(residual) <= 1e-12
 
 
 def test_optimal_squeezing_matches_quoted_points():
