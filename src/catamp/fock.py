@@ -1,7 +1,8 @@
 """Dense linear algebra on truncated bosonic Fock spaces.
 
-Single-mode pure state vectors and density operators, projectors and
-fidelities. Every value is immutable after
+Single-mode pure state vectors and density operators, the projector
+|psi><psi| and the fidelity <psi|rho|psi>; a pure-state overlap is
+``fidelity_mixed(projector(phi), psi)``. Every value is immutable after
 construction and every operation is a pure function of its inputs, so
 instances can be shared freely across parameter-sweep workers.
 """
@@ -20,6 +21,9 @@ NORMALIZATION_TOL = 1e-8
 
 # Truncation leakage above this is surfaced as a warning on results.
 LEAKAGE_WARN = 1e-6
+
+# Eigenvalues below this are dropped from a mixture's spectral branches.
+EIGEN_FLOOR = 1e-10
 
 
 class MultiModeState:
@@ -67,9 +71,11 @@ class DensityOperator:
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"density operator must be square and non-empty, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density operator entries must be finite")
+        dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         smallest = float(np.linalg.eigvalsh(m)[0])
@@ -90,17 +96,17 @@ class DensityOperator:
         """tr(rho^2); equals the squared Frobenius norm for Hermitian rho."""
         return float(np.sum(np.abs(self.matrix) ** 2))
 
-    def eigenbranches(self, min_weight: float = 1e-10):
+    def eigenbranches(self):
         """Spectral branches for pure-state propagation of mixtures.
 
         Returns (weights, vectors, discarded) with weights descending,
         vectors as columns, and ``discarded`` the total weight dropped by
-        the ``min_weight`` floor.
+        the ``EIGEN_FLOOR``.
         """
         w, v = np.linalg.eigh(self.matrix)
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
-        keep = w >= min_weight
+        keep = w >= EIGEN_FLOOR
         discarded = float(np.clip(w[~keep], 0.0, None).sum())
         return w[keep], v[:, keep], discarded
 
@@ -113,16 +119,6 @@ def projector(psi: MultiModeState) -> DensityOperator:
     v = psi.amplitudes
     m = np.outer(v, v.conj())
     return DensityOperator(0.5 * (m + m.conj().T))
-
-
-def fidelity_pure(psi: MultiModeState, phi: MultiModeState) -> float:
-    """|<psi|phi>|^2 for unit-norm pure states of equal shape."""
-    if psi.amplitudes.shape != phi.amplitudes.shape:
-        raise ValueError("state shapes differ")
-    for s in (psi, phi):
-        if not s.is_normalized:
-            raise ValueError("fidelity_pure requires unit-norm states")
-    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 
 
 def fidelity_mixed(rho: DensityOperator, psi: MultiModeState) -> float:

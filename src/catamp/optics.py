@@ -2,7 +2,7 @@
 
 The phase convention is pinned to the coherent-state rule
 
-    B(r, t) |a>|b>  ->  |t*a + r*b> |-r*a + t*b>
+    B(theta) |a>|b>  ->  |t*a + r*b> |-r*a + t*b>,  r = sin(theta), t = cos(theta),
 
 which the covariance tests enforce. U1 conserves photon number, so it is
 stored and applied as one real orthogonal block per total photon number
@@ -12,35 +12,10 @@ N, acting on the states |k, N-k>; no c^2 x c^2 matrix is ever built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BeamSplitterParams:
-    """Reflectivity / transmittivity pair with r^2 + t^2 = 1."""
-
-    reflectivity: float
-    transmittivity: float
-
-    def __post_init__(self):
-        r, t = self.reflectivity, self.transmittivity
-        if not (0.0 <= r <= 1.0 and 0.0 <= t <= 1.0):
-            raise ValueError(f"reflectivity and transmittivity must lie in [0, 1], got ({r}, {t})")
-        if abs(r * r + t * t - 1.0) > 1e-12:
-            raise ValueError(f"r^2 + t^2 = {r * r + t * t} violates unitarity")
-
-    @classmethod
-    def fifty_fifty(cls) -> "BeamSplitterParams":
-        s = 1.0 / math.sqrt(2.0)
-        return cls(s, s)
-
-    @property
-    def mixing_angle(self) -> float:
-        return math.atan2(self.reflectivity, self.transmittivity)
 
 
 class _MixingBasis(NamedTuple):
@@ -96,16 +71,19 @@ def _beam_splitter_blocks(theta: float, cutoff: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def apply_beam_splitter(params: BeamSplitterParams, x) -> np.ndarray:
-    """Two-mode beam splitter U1 applied to the c^2 rows of ``x``.
+def apply_beam_splitter(theta: float, x) -> np.ndarray:
+    """Two-mode beam splitter U1 of mixing angle ``theta`` applied to the
+    c^2 rows of ``x``; its reflectivity is sin(theta), its
+    transmittivity cos(theta).
 
     ``x`` is one flattened two-mode amplitude vector, or a c^2 x k array
     of them as columns, with the first mode the slower half of the flat
     index. The rows are permuted once into photon-number order, each
     block multiplies its own contiguous row slice, and the result is
-    permuted back. Blocks are cached by mixing angle, one angle at a
-    time, so every spelling of one ratio shares them.
+    permuted back. Blocks are cached by angle, one angle at a time.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"mixing angle must be finite, got {theta}")
     x = np.asarray(x, dtype=np.complex128)
     c = math.isqrt(x.shape[0]) if x.ndim in (1, 2) else 0
     if c == 0 or c * c != x.shape[0]:
@@ -114,6 +92,6 @@ def apply_beam_splitter(params: BeamSplitterParams, x) -> np.ndarray:
     y = x.reshape(c * c, -1)[basis.order]
     # the blocks are real, so they act on the real and imaginary parts at once
     parts = y.view(np.float64)
-    for (rows, _, _), b in zip(basis.blocks, _beam_splitter_blocks(params.mixing_angle, c)):
+    for (rows, _, _), b in zip(basis.blocks, _beam_splitter_blocks(theta, c)):
         parts[rows] = b @ parts[rows]
     return y[basis.inverse].reshape(x.shape)

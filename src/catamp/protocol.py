@@ -19,11 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import (PROBABILITY_FLOOR, DegenerateProbabilityError,
-                        DetectorModel, herald_operator)
+from .detection import PROBABILITY_FLOOR, DegenerateProbabilityError, herald_operator
 from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator,
                    MultiModeState, fidelity_mixed, projector)
-from .optics import BeamSplitterParams, apply_beam_splitter
+from .optics import apply_beam_splitter
 from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
 SOURCE_KINDS = ("ideal-cat", "squeezed-photon", "mixed-photon")
@@ -31,32 +30,48 @@ SOURCE_KINDS = ("ideal-cat", "squeezed-photon", "mixed-photon")
 
 @dataclass(frozen=True)
 class StageParams:
-    """Settings of one amplification stage.
+    """Settings of one amplification stage: the nominal input amplitudes
+    and phases, and the detector efficiency.
 
-    ``bs1`` mixes the two inputs; the auxiliary coherent amplitude
-    ``gamma`` feeds the fixed 50:50 conditioning beam splitter. The
-    planner derives bs1 and gamma from the nominal input amplitudes.
+    The inputs fix the rest of the circuit. With A = sqrt(alpha^2 +
+    beta^2), U1 mixes them at reflectivity beta/A and transmittivity
+    alpha/A, and the auxiliary coherent amplitude that feeds the fixed
+    50:50 conditioning beam splitter is gamma = 2 alpha beta / A.
     """
 
     alpha_in: float
     beta_in: float
     phi_a: float
     phi_b: float
-    bs1: BeamSplitterParams
-    gamma: float
     eta: float = 1.0
+
+    def __post_init__(self):
+        a, b = self.alpha_in, self.beta_in
+        if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
+            raise ValueError(f"input amplitudes must be finite and >= 0, got ({a}, {b})")
+        if a == 0.0 and b == 0.0:
+            raise ValueError("cannot plan a stage for two zero-amplitude inputs")
+        if not (math.isfinite(self.phi_a) and math.isfinite(self.phi_b)):
+            raise ValueError(f"input phases must be finite, got ({self.phi_a}, {self.phi_b})")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
 
     @classmethod
     def plan(cls, alpha: float, beta: float, phi_a: float, phi_b: float,
              eta: float = 1.0) -> "StageParams":
-        """Derive bs1 = (beta, alpha)/A and gamma = 2 alpha beta / A with
-        A = sqrt(alpha^2 + beta^2)."""
-        big = math.hypot(alpha, beta)
-        if big == 0.0:
-            raise ValueError("cannot plan a stage for two zero-amplitude inputs")
-        bs1 = BeamSplitterParams(reflectivity=beta / big, transmittivity=alpha / big)
-        return cls(alpha_in=alpha, beta_in=beta, phi_a=phi_a, phi_b=phi_b,
-                   bs1=bs1, gamma=2.0 * alpha * beta / big, eta=eta)
+        """The stage for two inputs; the same as the constructor."""
+        return cls(alpha, beta, phi_a, phi_b, eta)
+
+    @property
+    def mixing_angle(self) -> float:
+        """U1's angle atan2(beta/A, alpha/A). In the last bit it can differ
+        from atan2(beta, alpha); this form keeps the tables' digits."""
+        big = math.hypot(self.alpha_in, self.beta_in)
+        return math.atan2(self.beta_in / big, self.alpha_in / big)
+
+    @property
+    def gamma(self) -> float:
+        return 2.0 * self.alpha_in * self.beta_in / math.hypot(self.alpha_in, self.beta_in)
 
     @property
     def nominal_target(self) -> CatSpec:
@@ -103,38 +118,43 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Recursive amplification plan: n stages from alpha_i = target/sqrt(2)^n."""
-
-    alpha_target: float
-    n_iterations: int
-    alpha_i: float
-    stages: tuple[StageParams, ...]
-
-    def __post_init__(self):
-        if self.n_iterations < 0:
-            raise ValueError("iteration count must be non-negative")
-        if len(self.stages) != self.n_iterations:
-            raise ValueError("stage list length must equal the iteration count")
-
-
-def plan_schedule(alpha_target: float, n_iterations: int, eta: float = 1.0) -> Schedule:
-    """Plan n stages of pairwise amplification toward ``alpha_target``.
+    """Recursive amplification plan: n stages from alpha_i = target/sqrt(2)^n.
 
     Stage k (0-based) amplifies two equal inputs of nominal amplitude
     alpha_i * sqrt(2)^k; each stage's target is the next stage's input.
     Odd inputs make the first output even, and even inputs stay even.
     """
-    if alpha_target <= 0.0:
-        raise ValueError("target amplitude must be positive")
-    alpha_i = alpha_target / math.sqrt(2.0) ** n_iterations
-    stages = []
-    phase = math.pi
-    for k in range(n_iterations):
-        amp = alpha_i * math.sqrt(2.0) ** k
-        stages.append(StageParams.plan(amp, amp, phase, phase, eta=eta))
-        phase = (2.0 * phase) % (2.0 * math.pi)
-    return Schedule(alpha_target=alpha_target, n_iterations=n_iterations,
-                    alpha_i=alpha_i, stages=tuple(stages))
+
+    alpha_target: float
+    n_iterations: int
+    eta: float = 1.0
+
+    def __post_init__(self):
+        if not self.alpha_target > 0.0:
+            raise ValueError("target amplitude must be positive")
+        if self.n_iterations < 0:
+            raise ValueError("iteration count must be non-negative")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
+
+    @property
+    def alpha_i(self) -> float:
+        return self.alpha_target / math.sqrt(2.0) ** self.n_iterations
+
+    @property
+    def stages(self) -> tuple[StageParams, ...]:
+        alpha_i, stages = self.alpha_i, []
+        phase = math.pi
+        for k in range(self.n_iterations):
+            amp = alpha_i * math.sqrt(2.0) ** k
+            stages.append(StageParams(amp, amp, phase, phase, self.eta))
+            phase = (2.0 * phase) % (2.0 * math.pi)
+        return tuple(stages)
+
+
+def plan_schedule(alpha_target: float, n_iterations: int, eta: float = 1.0) -> Schedule:
+    """Plan n stages of pairwise amplification toward ``alpha_target``."""
+    return Schedule(alpha_target, n_iterations, eta)
 
 
 def _input_branches(state, label: str):
@@ -157,7 +177,7 @@ def _input_branches(state, label: str):
 def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     """Run one conditional amplification stage.
 
-    Applies bs1 to (a, b) and keeps the bright port heralded by both
+    Applies U1 to (a, b) and keeps the bright port heralded by both
     detectors clicking, ``Tr_dump[(1 x Pi) U1 (a x b) U1^dag]`` with Pi
     the ``herald_operator`` of the auxiliary |gamma> and detectors.
     Reports the unit-trace output with its success probability, fidelity
@@ -172,11 +192,11 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     if vb.shape[0] != cutoff:
         raise ValueError(f"cutoff mismatch between inputs: {cutoff} vs {vb.shape[0]}")
 
-    _, root = herald_operator(DetectorModel(eta=params.eta, cutoff=cutoff), params.gamma)
+    _, root = herald_operator(params.eta, params.gamma, cutoff)
     # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, bright index slowest
     pairs = ((va * np.sqrt(wa))[:, None, :, None]
              * (vb * np.sqrt(wb))[None, :, None, :]).reshape(cutoff * cutoff, -1)
-    mixed = apply_beam_splitter(params.bs1, pairs)
+    mixed = apply_beam_splitter(params.mixing_angle, pairs)
     # Pi^{1/2} on the dump axis: rho = Y Y^dag is Hermitian PSD by construction
     y = (root @ mixed.reshape(cutoff, cutoff, -1)).reshape(cutoff, -1)
     rho = y @ y.conj().T
@@ -186,14 +206,19 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
             f"conditioning probability {probability:.3e} below floor {PROBABILITY_FLOOR:.0e}")
 
     output = DensityOperator(0.5 * (rho + rho.conj().T) / probability)
-    target = params.nominal_target
-    fidelity = fidelity_mixed(output, cat_state(target, cutoff=cutoff))
-    leak = max(leak_a, leak_b, disc_a, disc_b)
+    return _judged(output, probability, params.nominal_target,
+                   max(leak_a, leak_b, disc_a, disc_b))
+
+
+def _judged(output: DensityOperator, probability: float, target: CatSpec,
+            leak: float) -> IterationResult:
+    """``output`` with its fidelity against the ``target`` cat, its purity
+    and ``leak`` as a warning when it passes ``LEAKAGE_WARN``."""
     return IterationResult(
         output=output,
         probability=probability,
         nominal_target=target,
-        fidelity=fidelity,
+        fidelity=fidelity_mixed(output, cat_state(target, cutoff=output.cutoff)),
         purity=output.purity(),
         leakage_warning=leak if leak > LEAKAGE_WARN else None,
     )
@@ -235,15 +260,7 @@ def run_schedule(sched: Schedule, source: SourceModel,
         rho0, leak0 = projector(state), state.leakage
     else:
         rho0, leak0 = state, 0.0
-    target0 = CatSpec(sched.alpha_i, math.pi)
-    results = [IterationResult(
-        output=rho0,
-        probability=1.0,
-        nominal_target=target0,
-        fidelity=fidelity_mixed(rho0, cat_state(target0, cutoff=cutoff)),
-        purity=rho0.purity(),
-        leakage_warning=leak0 if leak0 > LEAKAGE_WARN else None,
-    )]
+    results = [_judged(rho0, 1.0, CatSpec(sched.alpha_i, math.pi), leak0)]
     current = rho0
     for stage in sched.stages:
         res = amplify_once(current, current, stage)
@@ -291,6 +308,8 @@ def success_probability(alpha: float, beta: float, phi_a: float, phi_b: float) -
         / (2 (1 + cos(phi_a) e^{-2 a^2}) (1 + cos(phi_b) e^{-2 b^2}))
     """
     asq, bsq = alpha * alpha, beta * beta
+    if asq + bsq == 0.0:
+        raise ValueError("two zero-amplitude inputs have no success probability")
     na = _one_plus_cos_exp(phi_a, 2.0 * asq)
     nb = _one_plus_cos_exp(phi_b, 2.0 * bsq)
     if na <= 0.0 or nb <= 0.0:

@@ -7,7 +7,8 @@ squared-norm deficit they absorbed as ``state.leakage``.
 
 The squeeze convention is exp(-(r/2)(a^2 - adag^2)), which for r > 0
 stretches a single photon into positive odd-photon-number coefficients;
-both squeezed states are its closed-form series, exact on the kept basis.
+both squeezed states take r as a plain number, |r| <= MAX_SQUEEZE, and
+are its closed-form series, exact on the kept basis.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .fock import DEFAULT_CUTOFF, MultiModeState
 
 __all__ = [
-    "CatSpec", "SqueezeSpec", "fock_state", "coherent_state", "cat_state",
+    "CatSpec", "fock_state", "coherent_state", "cat_state",
     "squeezed_photon", "squeezed_vacuum",
 ]
 
@@ -51,23 +52,6 @@ class CatSpec:
     def phi_mod(self) -> float:
         """Relative phase reduced to [0, 2*pi) for comparisons."""
         return self.phi % (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class SqueezeSpec:
-    """Squeezing strength r of the quadratic unitary exp(-(r/2)(a^2 - adag^2))."""
-
-    r: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.r) or abs(self.r) > MAX_SQUEEZE:
-            raise ValueError(f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZE}, got {self.r}")
-
-
-def _squeeze_r(spec) -> float:
-    r = spec.r if isinstance(spec, SqueezeSpec) else float(spec)
-    SqueezeSpec(r)  # validate range
-    return r
 
 
 def _phase_factor(phi: float) -> complex:
@@ -134,14 +118,15 @@ def cat_state(spec: "CatSpec | float", phi: float = math.pi,
     return MultiModeState(amp / math.sqrt(nsq), leakage=deficit)
 
 
-def _squeezed_series(spec, k: int, cutoff: int) -> MultiModeState:
+def _squeezed_series(r: float, k: int, cutoff: int) -> MultiModeState:
     """The squeezed number state |k>, k in {0, 1}, over |2n+k>.
 
     Coefficients follow tanh(r)^n sqrt((2n+k)!) / (cosh(r)^{k+1/2} 2^n n!),
     evaluated in log space to survive the factorials; amplitudes of the
     other parity are exactly zero.
     """
-    r = _squeeze_r(spec)
+    if not math.isfinite(r) or abs(r) > MAX_SQUEEZE:
+        raise ValueError(f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZE}, got {r}")
     t = math.tanh(r)
     amp = np.zeros(cutoff, dtype=np.complex128)
     if t == 0.0:
@@ -159,11 +144,11 @@ def _squeezed_series(spec, k: int, cutoff: int) -> MultiModeState:
     return MultiModeState(amp / math.sqrt(total), leakage=deficit)
 
 
-def squeezed_photon(spec: "SqueezeSpec | float", cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
+def squeezed_photon(r: float, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
     """Squeezed single photon, expanded over odd number states."""
-    return _squeezed_series(spec, 1, cutoff)
+    return _squeezed_series(r, 1, cutoff)
 
 
-def squeezed_vacuum(spec: "SqueezeSpec | float", cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
+def squeezed_vacuum(r: float, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
     """Squeezed vacuum, expanded over even number states."""
-    return _squeezed_series(spec, 0, cutoff)
+    return _squeezed_series(r, 0, cutoff)

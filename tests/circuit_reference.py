@@ -11,17 +11,20 @@ c^2 x c^2 matrices, one ``expm`` per photon-number block, built here
 rather than by catamp's block apply. Also the matrix-exponential squeeze
 unitary, a reference for the closed-form squeezed states.
 
-Only ``BeamSplitterParams`` and ``coherent_state`` come from catamp.
+Splitters are named by their mixing angle theta: reflectivity
+sin(theta), transmittivity cos(theta). Only ``coherent_state`` comes
+from catamp.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
 from scipy.linalg import expm
 
-from catamp import BeamSplitterParams, coherent_state
+from catamp import coherent_state
 
-FIFTY = BeamSplitterParams.fifty_fifty()
+FIFTY = math.pi / 4
 
 # (detector on mode 1 clicks, detector on mode 2 clicks)
 PATTERNS = ((False, False), (False, True), (True, False), (True, True))
@@ -33,10 +36,10 @@ def product(*amplitudes):
     return reduce(np.multiply.outer, amplitudes)
 
 
-def beam_splitter_blocks(params, cutoff):
+def beam_splitter_blocks(theta, cutoff):
     """(flat indices, expm of the mixing generator) per total photon number
     N, on the states |k, N-k> with k ascending and the first mode slowest."""
-    c, theta = cutoff, params.mixing_angle
+    c = cutoff
     for total in range(2 * c - 1):
         ks = np.arange(max(0, total - c + 1), min(total, c - 1) + 1)
         d = len(ks)
@@ -48,10 +51,10 @@ def beam_splitter_blocks(params, cutoff):
         yield ks * c + (total - ks), expm(theta * g)
 
 
-def beam_splitter_unitary(params, cutoff):
+def beam_splitter_unitary(theta, cutoff):
     """The dense two-mode beam-splitter matrix, block by block."""
     u = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=np.complex128)
-    for flat, block in beam_splitter_blocks(params, cutoff):
+    for flat, block in beam_splitter_blocks(theta, cutoff):
         u[np.ix_(flat, flat)] = block
     return u
 
@@ -81,19 +84,19 @@ def condition(psi, pattern, eta):
     return 0.5 * (rho + rho.conj().T)
 
 
-def circuit(a, b, bs1, gamma):
-    """a (x) b (x) |gamma> after U1 on modes (0, 1) and the 50:50
-    splitter on modes (1, 2)."""
+def circuit(a, b, theta, gamma):
+    """a (x) b (x) |gamma> after U1 of angle ``theta`` on modes (0, 1) and
+    the 50:50 splitter on modes (1, 2)."""
     c = len(a)
     psi = product(a, b, coherent_state(gamma, c).amplitudes)
-    psi = apply_two_mode(beam_splitter_unitary(bs1, c), psi, 0, 1)
+    psi = apply_two_mode(beam_splitter_unitary(theta, c), psi, 0, 1)
     return apply_two_mode(beam_splitter_unitary(FIFTY, c), psi, 1, 2)
 
 
-def stage(a, b, bs1, gamma, eta):
+def stage(a, b, theta, gamma, eta):
     """Bright-mode operator per click pattern for pure inputs a and b;
     each trace is that pattern's probability."""
-    psi = circuit(a, b, bs1, gamma)
+    psi = circuit(a, b, theta, gamma)
     return {p: condition(psi, p, eta) for p in PATTERNS}
 
 

@@ -40,12 +40,12 @@ from functools import lru_cache
 import numpy as np
 
 import circuit_reference as ref
-from catamp import (BeamSplitterParams, DetectorModel, SourceModel,
-                    StageParams, amplify_once, apply_beam_splitter,
-                    best_schedule, cat_state, coherent_state, fidelity_mixed,
-                    fidelity_pure, homodyne_error, mixed_inputs,
-                    optimal_squeezing, plan_schedule, run_schedule,
-                    squeezed_photon, squeezed_vacuum, success_probability)
+from catamp import (SourceModel, StageParams, amplify_once,
+                    apply_beam_splitter, best_schedule, cat_state,
+                    coherent_state, fidelity_mixed, homodyne_error,
+                    mixed_inputs, optimal_squeezing, plan_schedule, projector,
+                    run_schedule, squeezed_photon, squeezed_vacuum,
+                    success_probability)
 from catamp.cli import RunConfig, cmd_purify, render_csv
 from catamp.detection import herald_operator
 
@@ -75,7 +75,7 @@ def test_criterion_1_squeezing_optima():
     problems = []
     for alpha, f_want, f_tol, r_want in quoted:
         r_star, f_formula = optimal_squeezing(alpha)
-        f_state = fidelity_pure(squeezed_photon(r_star), cat_state(alpha, PI))
+        f_state = fidelity_mixed(projector(squeezed_photon(r_star)), cat_state(alpha, PI))
         if abs(r_star - r_want) > 0.002:
             problems.append(f"r*({alpha})={r_star:.4f}")
         if abs(f_formula - f_want) > f_tol or abs(f_state - f_want) > f_tol:
@@ -92,7 +92,7 @@ def test_criterion_2_small_cat_envelope():
     worst = 1.0
     for alpha in grid:
         r_star, f_formula = optimal_squeezing(alpha)
-        f_state = fidelity_pure(squeezed_photon(r_star), cat_state(alpha, PI))
+        f_state = fidelity_mixed(projector(squeezed_photon(r_star)), cat_state(alpha, PI))
         worst = min(worst, f_formula, f_state)
     _report(2, "max-over-r fidelity > 0.99 for alpha <= 1.2", worst > 0.99,
             f"worst {worst:.6f}")
@@ -155,8 +155,8 @@ def test_criterion_4_best_schedule():
 def _three_mode_branch(input_a, input_b, stage):
     """One stage on pure inputs through the brute-force 3-mode circuit.
     Returns (probability, fidelity against the nominal target)."""
-    rho = ref.stage(input_a.amplitudes, input_b.amplitudes, stage.bs1, stage.gamma,
-                    stage.eta)[ref.BOTH_CLICK]
+    rho = ref.stage(input_a.amplitudes, input_b.amplitudes, stage.mixing_angle,
+                    stage.gamma, stage.eta)[ref.BOTH_CLICK]
     prob = float(np.trace(rho).real)
     target = cat_state(stage.nominal_target, cutoff=input_a.cutoff).amplitudes
     return prob, float(np.vdot(target, rho @ target).real) / prob
@@ -262,19 +262,20 @@ def test_criterion_8_property_suites():
         if np.max(np.abs(total - np.eye(12))) > 1e-10:
             problems.append(f"POVM completeness off by "
                             f"{np.max(np.abs(total - np.eye(12))):.2e} at eta={eta}")
-        pi, _ = herald_operator(DetectorModel(eta, 12), 1.3)
+        pi, _ = herald_operator(eta, 1.3, 12)
         if np.max(np.abs(elements[ref.BOTH_CLICK] - pi)) > 1e-12:
             problems.append(f"herald operator off the circuit at eta={eta}")
 
     # beam-splitter coherent-state covariance on a 5x5 amplitude grid
-    params = BeamSplitterParams(0.6, 0.8)
+    r, t = 0.6, 0.8
     worst_cov = 1.0
     for a in np.linspace(-1.5, 1.5, 5):
         for b in np.linspace(-1.5, 1.5, 5):
-            psi2 = apply_beam_splitter(params, np.kron(coherent_state(a).amplitudes,
-                                                       coherent_state(b).amplitudes))
-            want_a = params.transmittivity * a + params.reflectivity * b
-            want_b = -params.reflectivity * a + params.transmittivity * b
+            psi2 = apply_beam_splitter(math.atan2(r, t),
+                                       np.kron(coherent_state(a).amplitudes,
+                                               coherent_state(b).amplitudes))
+            want_a = t * a + r * b
+            want_b = -r * a + t * b
             want = np.kron(coherent_state(want_a).amplitudes,
                            coherent_state(want_b).amplitudes)
             worst_cov = min(worst_cov, abs(np.vdot(want, psi2)) ** 2)

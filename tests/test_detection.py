@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import BeamSplitterParams, DetectorModel, cat_state, coherent_state, fock_state
+from catamp import StageParams, cat_state, coherent_state, fock_state, plan_schedule
 from catamp.detection import herald_operator
-
-FIFTY = BeamSplitterParams.fifty_fifty()
 
 
 def _conditioning_circuit(input_a, input_b, gamma):
-    return ref.circuit(input_a.amplitudes, input_b.amplitudes, FIFTY, gamma)
+    return ref.circuit(input_a.amplitudes, input_b.amplitudes, ref.FIFTY, gamma)
 
 
 def _normalized(rho):
@@ -39,10 +37,12 @@ def test_click_povm_completeness_is_exact():
 
 
 def test_detector_model_rejects_bad_efficiency():
-    with pytest.raises(ValueError):
-        DetectorModel(1.2, 30)
-    with pytest.raises(ValueError):
-        DetectorModel(-0.1, 30)
+    # the detector efficiency is a stage setting, checked when it is set
+    for eta in (1.2, -0.1, math.nan):
+        with pytest.raises(ValueError, match="efficiency"):
+            StageParams(1.0, 1.0, math.pi, math.pi, eta)
+        with pytest.raises(ValueError, match="efficiency"):
+            plan_schedule(2.0, 3, eta=eta)
 
 
 @pytest.mark.parametrize("eta", [0.2, 0.6, 1.0])
@@ -51,7 +51,7 @@ def test_pattern_probabilities_sum_to_one(eta):
     # identity, and the both-click one is the stage's herald operator
     elements = ref.click_elements(eta, 1.3, 10, 40)
     assert np.max(np.abs(sum(elements.values()) - np.eye(10))) < 1e-10
-    pi, _ = herald_operator(DetectorModel(eta, 10), 1.3)
+    pi, _ = herald_operator(eta, 1.3, 10)
     assert np.max(np.abs(elements[ref.BOTH_CLICK] - pi)) <= 1e-12
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import circuit_reference as ref
 from catamp import (DensityOperator, MultiModeState, coherent_state,
-                    fidelity_mixed, fidelity_pure, fock_state, projector)
+                    fidelity_mixed, fock_state, projector)
 
 # The three-mode product states and partial traces below are the brute-force
 # reference's; with dead detectors (eta = 0) its double no-click conditioning
@@ -80,31 +80,37 @@ def test_partial_trace_bell_like_is_maximally_mixed():
     assert np.allclose(rho.matrix, expected, atol=1e-12)
 
 
+# The pure-state fidelity |<psi|phi>|^2 is fidelity_mixed(projector(psi), phi).
+
+def _fidelity_pure(psi, phi):
+    return fidelity_mixed(projector(psi), phi)
+
+
 def test_fidelity_pure_self_and_orthogonal():
     psi = coherent_state(0.6)
-    assert np.isclose(fidelity_pure(psi, psi), 1.0, atol=1e-12)
-    assert fidelity_pure(fock_state(0), fock_state(1)) == 0.0
+    assert np.isclose(_fidelity_pure(psi, psi), 1.0, atol=1e-12)
+    assert _fidelity_pure(fock_state(0), fock_state(1)) == 0.0
 
 
 def test_fidelity_pure_opposite_coherent_states():
     # |<alpha|-alpha>|^2 = e^{-4 alpha^2}; alpha = 1
-    f = fidelity_pure(coherent_state(1.0), coherent_state(-1.0))
+    f = _fidelity_pure(coherent_state(1.0), coherent_state(-1.0))
     assert np.isclose(f, 0.01831563888873418, atol=1e-10)
 
 
 def test_fidelity_pure_symmetric_and_phase_invariant():
     a, b = coherent_state(0.9), coherent_state(0.2)
-    f = fidelity_pure(a, b)
-    assert abs(f - fidelity_pure(b, a)) < 1e-14
+    f = _fidelity_pure(a, b)
+    assert abs(f - _fidelity_pure(b, a)) < 1e-14
     rotated = MultiModeState(np.exp(1j * 0.83) * a.amplitudes)
-    assert abs(fidelity_pure(rotated, b) - f) < 1e-14
+    assert abs(_fidelity_pure(rotated, b) - f) < 1e-14
 
 
 def test_fidelity_pure_requires_normalized_matching_shapes():
     with pytest.raises(ValueError):
-        fidelity_pure(fock_state(0, 8), fock_state(0, 10))
+        _fidelity_pure(fock_state(0, 8), fock_state(0, 10))
     with pytest.raises(ValueError):
-        fidelity_pure(MultiModeState(0.5 * fock_state(0).amplitudes), fock_state(0))
+        _fidelity_pure(fock_state(0), MultiModeState(0.5 * fock_state(0).amplitudes))
 
 
 def test_fidelity_mixed_projector_and_mixture():
@@ -125,6 +131,16 @@ def test_density_operator_validation():
         DensityOperator(np.diag([1.1, -0.1]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityOperator(np.diag([0.9, 0.9]))  # trace above 1
+    for bad in (np.nan, np.inf):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(m)
+    with pytest.raises(ValueError, match="finite"):
+        DensityOperator(np.full((3, 3), np.nan))
+    for empty in (np.zeros((0, 0)), np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="non-empty"):
+            DensityOperator(empty)
 
 
 def test_operations_are_deterministic():

@@ -8,9 +8,9 @@ import pytest
 
 import catamp.protocol
 import circuit_reference as ref
-from catamp import (DegenerateProbabilityError, DetectorModel, SourceModel,
-                    StageParams, amplify_once, cat_state, mixed_inputs,
-                    optimal_squeezing, projector)
+from catamp import (DegenerateProbabilityError, SourceModel, StageParams,
+                    amplify_once, cat_state, mixed_inputs, optimal_squeezing,
+                    projector)
 from catamp.detection import herald_operator
 
 PI = math.pi
@@ -28,7 +28,7 @@ def _three_mode_stage(input_a, input_b, stage):
     branches = [input_a.eigenbranches()[:2], input_b.eigenbranches()[:2]]
     for wa, a in zip(branches[0][0], branches[0][1].T):
         for wb, b in zip(branches[1][0], branches[1][1].T):
-            out = ref.stage(a, b, stage.bs1, stage.gamma, stage.eta)
+            out = ref.stage(a, b, stage.mixing_angle, stage.gamma, stage.eta)
             rho = rho + wa * wb * out[ref.BOTH_CLICK]
     return rho
 
@@ -38,7 +38,7 @@ def _three_mode_stage(input_a, input_b, stage):
 def test_herald_matches_brute_force_circuit(eta, gamma):
     # 50:50 blocks below 40 photons in total are exact, and |gamma> puts
     # < 1e-14 of its weight beyond the 30 photons the 10 dump states leave
-    pi, _ = herald_operator(DetectorModel(eta, 10), gamma)
+    pi, _ = herald_operator(eta, gamma, 10)
     want = ref.click_elements(eta, gamma, 10, 40)[ref.BOTH_CLICK]
     assert np.max(np.abs(pi - want)) <= 1e-12
 
@@ -46,17 +46,17 @@ def test_herald_matches_brute_force_circuit(eta, gamma):
 @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("gamma", [0.0, 0.7, 3.54])
 def test_herald_is_an_effect_with_its_root(eta, gamma):
-    pi, root = herald_operator(DetectorModel(eta, 30), gamma)
+    pi, root = herald_operator(eta, gamma, 30)
     assert np.max(np.abs(pi - pi.T)) <= 1e-15
     w = np.linalg.eigvalsh(pi)
     assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
     assert np.max(np.abs(root @ root - pi)) <= 1e-12
     assert not pi.flags.writeable and not root.flags.writeable
-    assert herald_operator(DetectorModel(eta, 30), gamma)[0] is pi
+    assert herald_operator(eta, gamma, 30)[0] is pi
 
 
 def test_dead_detectors_never_herald():
-    pi, _ = herald_operator(DetectorModel(0.0, 30), 1.4)
+    pi, _ = herald_operator(0.0, 1.4, 30)
     assert not pi.any()
     stage = StageParams.plan(1.0, 1.0, PI, PI, eta=0.0)
     with pytest.raises(DegenerateProbabilityError):
@@ -87,7 +87,7 @@ def test_kernel_with_truncated_herald_reproduces_three_mode_route(case, monkeypa
     # detector modes cut at the stage cutoff
     pi = ref.click_elements(stage.eta, stage.gamma, cutoff, cutoff)[ref.BOTH_CLICK].real
     monkeypatch.setattr(catamp.protocol, "herald_operator",
-                        lambda model, gamma: (pi, _root(pi)))
+                        lambda eta, gamma, cutoff: (pi, _root(pi)))
     res = amplify_once(rho_a, rho_b, stage)
     assert abs(res.probability - np.trace(want).real) <= 1e-12
     assert np.max(np.abs(res.probability * res.output.matrix - want)) <= 1e-12

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import (BeamSplitterParams, apply_beam_splitter, cat_state,
+from catamp import (StageParams, apply_beam_splitter, cat_state,
                     coherent_state, fock_state, squeezed_photon)
 from catamp.optics import _beam_splitter_blocks
 
-FIFTY = BeamSplitterParams.fifty_fifty()
+# mixing angles: reflectivity sin(theta), transmittivity cos(theta)
+FIFTY = math.pi / 4
 
 
-def _mix(params, a, b):
+def _mix(theta, a, b):
     """U1 applied to the product |a>|b>, as a c x c amplitude array."""
     c = len(a)
-    return apply_beam_splitter(params, np.kron(a, b)).reshape(c, c)
+    return apply_beam_splitter(theta, np.kron(a, b)).reshape(c, c)
 
 
 def _overlap(x, y):
@@ -22,11 +23,11 @@ def _overlap(x, y):
 
 
 def test_beam_splitter_params_validation():
-    BeamSplitterParams(0.6, 0.8)
-    with pytest.raises(ValueError):
-        BeamSplitterParams(0.5, 0.5)
-    with pytest.raises(ValueError):
-        BeamSplitterParams(-0.6, 0.8)
+    vac = np.kron(fock_state(0, 8).amplitudes, fock_state(0, 8).amplitudes)
+    apply_beam_splitter(math.atan2(0.6, 0.8), vac)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mixing angle"):
+            apply_beam_splitter(theta, vac)
 
 
 # The squeeze unitary is the reference's matrix exponential, which the
@@ -55,7 +56,7 @@ def test_squeeze_unitary_unitarity_on_low_block(r):
 
 
 def test_beam_splitter_identity_when_fully_transmitting():
-    u = apply_beam_splitter(BeamSplitterParams(0.0, 1.0), np.eye(100))
+    u = apply_beam_splitter(0.0, np.eye(100))
     assert np.allclose(u, np.eye(100), atol=1e-15)
 
 
@@ -76,14 +77,13 @@ THETAS = [0.3, math.pi / 4, 1.2]
 def test_blocks_match_reference_expm_matrix(cutoff, theta):
     # column by column against the reference's dense per-block expm, so
     # the c^2 x c^2 matrix is never built on either side
-    params = BeamSplitterParams(math.sin(theta), math.cos(theta))
     worst = 0.0
-    for flat, block in ref.beam_splitter_blocks(params, cutoff):
+    for flat, block in ref.beam_splitter_blocks(theta, cutoff):
         cols = np.zeros((cutoff * cutoff, len(flat)))
         cols[flat, np.arange(len(flat))] = 1.0
         want = np.zeros_like(cols)
         want[flat] = block
-        worst = max(worst, np.abs(apply_beam_splitter(params, cols) - want).max())
+        worst = max(worst, np.abs(apply_beam_splitter(theta, cols) - want).max())
     assert worst < 1e-11
 
 
@@ -112,14 +112,15 @@ def test_beam_splitter_coherent_displacement_rule():
     assert _overlap(psi, want) >= 1 - 1e-10
 
 
-@pytest.mark.parametrize("params", [FIFTY, BeamSplitterParams(0.6, 0.8),
-                                    BeamSplitterParams(0.28, math.sqrt(1 - 0.28 ** 2))])
+@pytest.mark.parametrize("params", [(2 ** -0.5, 2 ** -0.5), (0.6, 0.8),
+                                    (0.28, math.sqrt(1 - 0.28 ** 2))])
 def test_beam_splitter_coherent_covariance_grid(params):
     # the convention anchor: B|a>|b> = |ta+rb>|-ra+tb> across an amplitude grid
-    r, t = params.reflectivity, params.transmittivity
+    r, t = params
+    theta = math.atan2(r, t)
     for a in np.linspace(-1.5, 1.5, 5):
         for b in np.linspace(-1.5, 1.5, 5):
-            psi = _mix(params, coherent_state(a).amplitudes, coherent_state(b).amplitudes)
+            psi = _mix(theta, coherent_state(a).amplitudes, coherent_state(b).amplitudes)
             want = np.outer(coherent_state(t * a + r * b).amplitudes,
                             coherent_state(-r * a + t * b).amplitudes)
             assert _overlap(psi, want) >= 1 - 1e-8
@@ -140,11 +141,11 @@ def test_apply_beam_splitter_preserves_norm_and_vacuum():
 
 
 def test_apply_beam_splitter_inverse_pair():
-    # B(r, t)^-1 = B(-r, t), realized by feeding the modes in reverse order
-    params = BeamSplitterParams(0.6, 0.8)
+    # B(theta)^-1 = B(-theta), realized by feeding the modes in reverse order
+    theta = math.atan2(0.6, 0.8)
     a, b = coherent_state(0.9, 20).amplitudes, coherent_state(-0.5, 20).amplitudes
-    fwd = apply_beam_splitter(params, np.kron(a, b)).reshape(20, 20)
-    back = apply_beam_splitter(params, fwd.T.ravel()).reshape(20, 20).T
+    fwd = apply_beam_splitter(theta, np.kron(a, b)).reshape(20, 20)
+    back = apply_beam_splitter(theta, fwd.T.ravel()).reshape(20, 20).T
     assert np.max(np.abs(back - np.outer(a, b))) < 1e-10
 
 
@@ -169,23 +170,28 @@ def test_two_cat_interference_matches_coherent_construction():
 
 
 def test_unitary_cache_returns_consistent_readonly_matrices():
-    u1 = _beam_splitter_blocks(FIFTY.mixing_angle, 12)
-    u2 = _beam_splitter_blocks(BeamSplitterParams.fifty_fifty().mixing_angle, 12)
+    u1 = _beam_splitter_blocks(FIFTY, 12)
+    _beam_splitter_blocks.cache_clear()
+    u2 = _beam_splitter_blocks(FIFTY, 12)
+    assert u1 is not u2
     assert all(np.array_equal(b1, b2) for b1, b2 in zip(u1, u2))
     assert not any(b.flags.writeable for b in u1)
 
 
 def test_unitary_cache_holds_one_matrix():
-    # every spelling of 50:50 is one mixing angle, so a schedule whose
-    # planned ratios differ in the last bit still reuses its blocks
-    half = BeamSplitterParams(0.7071067811865476, 0.7071067811865476)
-    assert half != FIFTY
+    # equal-amplitude stages normalize to ratios that differ in the last
+    # bit, yet all mix at exactly pi/4, so a schedule reuses its blocks
+    amps = (0.3, 2 ** -0.5, 1.0, 2.5)
+    ratios = {a / math.hypot(a, a) for a in amps}
+    assert len(ratios) == 2
+    angles = [StageParams(a, a, math.pi, math.pi).mixing_angle for a in amps]
+    assert set(angles) == {FIFTY}
     vac = np.kron(fock_state(0, 12).amplitudes, fock_state(0, 12).amplitudes)
     _beam_splitter_blocks.cache_clear()
-    apply_beam_splitter(half, vac)
-    apply_beam_splitter(FIFTY, vac)
-    assert _beam_splitter_blocks.cache_info().hits == 1
-    for params in (BeamSplitterParams(0.6, 0.8), FIFTY, BeamSplitterParams(0.28, 0.96)):
+    for theta in angles:
+        apply_beam_splitter(theta, vac)
+    assert _beam_splitter_blocks.cache_info().hits == len(amps) - 1
+    for theta in (math.atan2(0.6, 0.8), FIFTY, math.atan2(0.28, 0.96)):
         for cutoff in (8, 12):
-            apply_beam_splitter(params, np.eye(cutoff * cutoff)[0])
+            apply_beam_splitter(theta, np.eye(cutoff * cutoff)[0])
             assert _beam_splitter_blocks.cache_info().currsize == 1

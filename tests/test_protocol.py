@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from catamp import (DegenerateProbabilityError, DensityOperator, SourceModel,
-                    StageParams, amplify_once, best_schedule, cat_state,
+from catamp import (DegenerateProbabilityError, DensityOperator, Schedule,
+                    SourceModel, StageParams, amplify_once, best_schedule, cat_state,
                     fidelity_mixed, fock_state, homodyne_error, mixed_inputs,
                     optimal_squeezing, plan_schedule, prepare_source,
                     projector, run_schedule, squeezed_photon,
@@ -22,13 +22,27 @@ def test_stage_planner_invariants():
     for a, b in ((0.5, 0.5), (0.7, 1.1), (1.5, 0.3)):
         st = StageParams.plan(a, b, PI, 0.0)
         big = math.hypot(a, b)
-        assert abs(st.bs1.reflectivity - b / big) < 1e-12
-        assert abs(st.bs1.transmittivity - a / big) < 1e-12
+        assert abs(math.sin(st.mixing_angle) - b / big) < 1e-12
+        assert abs(math.cos(st.mixing_angle) - a / big) < 1e-12
         assert abs(st.gamma - 2 * a * b / big) < 1e-12
         assert abs(st.nominal_target.alpha - big) < 1e-12
         assert abs(st.nominal_target.phi - (PI % (2 * PI))) < 1e-12
     with pytest.raises(ValueError):
         StageParams.plan(0.0, 0.0, PI, PI)
+
+
+def test_stage_params_reject_bad_amplitudes_and_phases():
+    StageParams(0.0, 0.5, PI, 0.0)  # one empty input is a valid stage
+    for alpha in (math.nan, -0.5, math.inf):
+        with pytest.raises(ValueError, match="amplitudes"):
+            StageParams(alpha, 0.5, PI, PI)
+        with pytest.raises(ValueError, match="amplitudes"):
+            StageParams(0.5, alpha, PI, PI)
+    for phi in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="phases"):
+            StageParams(0.5, 0.5, phi, PI)
+        with pytest.raises(ValueError, match="phases"):
+            StageParams(0.5, 0.5, PI, phi)
 
 
 def test_success_probability_oracle_values():
@@ -47,6 +61,9 @@ def test_success_probability_limits():
     assert success_probability(0.01, 0.01, 0.0, 0.0) < 1e-8
     with pytest.raises(ValueError):
         success_probability(0.0, 0.5, PI, 0.0)
+    for phases in ((0.0, 0.0), (PI, 0.0), (0.0, PI)):
+        with pytest.raises(ValueError, match="zero-amplitude"):
+            success_probability(0.0, 0.0, *phases)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.5), (2 ** -0.5, 1.0)])
@@ -194,6 +211,8 @@ def test_failed_herald_branches_explain_reference_purification_values():
 
 def test_plan_schedule_chain_consistency():
     sched = plan_schedule(2.0, 4)
+    assert sched == Schedule(2.0, 4)
+    assert len(sched.stages) == 4
     assert abs(sched.alpha_i - 0.5) < 1e-12
     for k, stage in enumerate(sched.stages):
         assert abs(stage.alpha_in - sched.alpha_i * ROOT2 ** k) < 1e-12
@@ -202,6 +221,15 @@ def test_plan_schedule_chain_consistency():
             assert abs(stage.nominal_target.alpha - nxt.alpha_in) < 1e-12
             assert abs(stage.nominal_target.phi - nxt.phi_a) < 1e-12
     assert abs(sched.stages[0].nominal_target.phi - 0.0) < 1e-12  # odd+odd -> even
+
+
+def test_schedule_rejects_bad_plans():
+    for target in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="target"):
+            plan_schedule(target, 2)
+    with pytest.raises(ValueError, match="iteration"):
+        Schedule(2.0, -1)
+    assert plan_schedule(2.0, 0).stages == ()
 
 
 def test_run_schedule_zero_iterations_echoes_source():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import (CatSpec, SqueezeSpec, cat_state, coherent_state,
-                    fidelity_pure, fock_state, squeezed_photon, squeezed_vacuum)
+from catamp import (CatSpec, cat_state, coherent_state, fidelity_mixed,
+                    fock_state, projector, squeezed_photon, squeezed_vacuum)
 
 # r of the purification table (0.083), the optimum for alpha = 2.5 (1.07),
 # and both signs; the reference is the matrix exponential at cutoff 120,
@@ -42,7 +42,7 @@ def test_cat_state_parity_zeros_are_exact():
 
 
 def test_cat_state_small_odd_cat_approaches_single_photon():
-    f = fidelity_pure(cat_state(0.01, math.pi), fock_state(1))
+    f = fidelity_mixed(projector(cat_state(0.01, math.pi)), fock_state(1))
     assert f > 1 - 1e-4
 
 
@@ -63,7 +63,7 @@ def test_opposite_parity_cats_are_orthogonal(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_even_cat_overlap_with_coherent_state(alpha):
     # |<cat_+|alpha>|^2 = (1 + e^{-2 alpha^2}) / 2
-    f = fidelity_pure(cat_state(alpha, 0.0), coherent_state(alpha))
+    f = fidelity_mixed(projector(cat_state(alpha, 0.0)), coherent_state(alpha))
     assert np.isclose(f, (1 + math.exp(-2 * alpha * alpha)) / 2, atol=1e-10)
 
 
@@ -78,9 +78,9 @@ def test_squeezed_photon_even_amplitudes_exactly_zero():
 
 def test_squeezed_photon_matches_quoted_optima():
     # quoted (r, F) pairs for the odd-cat approximation
-    f1 = fidelity_pure(squeezed_photon(0.083), cat_state(0.5, math.pi))
+    f1 = fidelity_mixed(projector(squeezed_photon(0.083)), cat_state(0.5, math.pi))
     assert abs(f1 - 0.99999) < 1e-5
-    f2 = fidelity_pure(squeezed_photon(0.164), cat_state(2 ** -0.5, math.pi))
+    f2 = fidelity_mixed(projector(squeezed_photon(0.164)), cat_state(2 ** -0.5, math.pi))
     assert abs(f2 - 0.9998) < 1e-4
 
 
@@ -129,10 +129,12 @@ def test_squeezed_state_leakage_matches_wide_reference():
 
 
 def test_squeeze_spec_range():
-    with pytest.raises(ValueError):
-        SqueezeSpec(2.5)
-    with pytest.raises(ValueError):
-        squeezed_photon(-3.0)
+    squeezed_photon(2.0)
+    squeezed_vacuum(-2.0)
+    for r in (2.5, -3.0, math.nan, math.inf):
+        for state in (squeezed_photon, squeezed_vacuum):
+            with pytest.raises(ValueError, match="squeezing parameter"):
+                state(r)
 
 
 def test_negative_squeeze_alternates_sign():
