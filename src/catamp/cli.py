@@ -33,9 +33,10 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
 
-    # a full-rank mixed input makes a c^2 x c^2 array of branch pairs
-    # (16 cutoff^4 bytes) however U1 is stored; 64 is the largest cutoff
-    # at which it fits in 256 MiB
+    # a full-rank complex mixed input makes a c^2 x c^2 complex128 array
+    # of branch pairs (16 cutoff^4 bytes; real inputs need 8 cutoff^4)
+    # however U1 is stored; 64 is the largest cutoff at which the complex
+    # array fits in 256 MiB
     MAX_CUTOFF = 64
 
     def __post_init__(self):
@@ -69,7 +70,9 @@ def render_csv(table: Table) -> str:
     lines = [f"# {k} = {_fmt(v)}" for k, v in table.meta.items()]
     lines.append(",".join(table.columns))
     lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    # the empty last line ends the text with a newline without a second copy
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_json(table: Table) -> str:

@@ -103,7 +103,8 @@ class DensityOperator:
         vectors as columns, and ``discarded`` the total weight dropped by
         the ``EIGEN_FLOOR``.
         """
-        w, v = np.linalg.eigh(self.matrix)
+        m = self.matrix
+        w, v = np.linalg.eigh(m if m.imag.any() else m.real)
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
         keep = w >= EIGEN_FLOOR

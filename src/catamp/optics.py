@@ -21,6 +21,8 @@ import numpy as np
 class _MixingBasis(NamedTuple):
     order: np.ndarray    # flat two-mode indices by photon number N, then k
     inverse: np.ndarray  # the permutation that undoes ``order``
+    first: np.ndarray    # first-mode photon number of each row in ``order``
+    second: np.ndarray   # second-mode photon number of each row in ``order``
     values: np.ndarray   # eigenvalues of i g_N, block after block
     blocks: tuple        # per block: its row slice in ``order``, V and V^dag
 
@@ -51,7 +53,8 @@ def _mixing_basis(cutoff: int) -> _MixingBasis:
         values.append(lam)
         blocks.append((slice(start, start + d), v, v.conj().T.copy()))
         start += d
-    return _MixingBasis(order, np.argsort(order), np.concatenate(values), tuple(blocks))
+    return _MixingBasis(order, np.argsort(order), first[order], second[order],
+                        np.concatenate(values), tuple(blocks))
 
 
 # One set of blocks at a time: every schedule runs at a single 50:50
@@ -71,6 +74,18 @@ def _beam_splitter_blocks(theta: float, cutoff: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
+def _apply_blocks(theta: float, y: np.ndarray) -> None:
+    """U1 of mixing angle ``theta`` on ``y`` in place. The c^2 rows of
+    ``y`` are two-mode amplitudes already in the basis's photon-number
+    ``order``, so each block multiplies its own contiguous row slice.
+    The blocks are real: float64 rows stay float64, and complex rows are
+    mixed as their real and imaginary parts at once."""
+    c = math.isqrt(y.shape[0])
+    parts = y.view(np.float64)
+    for (rows, _, _), b in zip(_mixing_basis(c).blocks, _beam_splitter_blocks(theta, c)):
+        parts[rows] = b @ parts[rows]
+
+
 def apply_beam_splitter(theta: float, x) -> np.ndarray:
     """Two-mode beam splitter U1 of mixing angle ``theta`` applied to the
     c^2 rows of ``x``; its reflectivity is sin(theta), its
@@ -78,20 +93,19 @@ def apply_beam_splitter(theta: float, x) -> np.ndarray:
 
     ``x`` is one flattened two-mode amplitude vector, or a c^2 x k array
     of them as columns, with the first mode the slower half of the flat
-    index. The rows are permuted once into photon-number order, each
-    block multiplies its own contiguous row slice, and the result is
-    permuted back. Blocks are cached by angle, one angle at a time.
+    index. Real input gives a float64 result and complex input a
+    complex128 one. The rows are permuted once into photon-number order,
+    mixed block by block, and permuted back. Blocks are cached by angle,
+    one angle at a time.
     """
     if not math.isfinite(theta):
         raise ValueError(f"mixing angle must be finite, got {theta}")
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
     c = math.isqrt(x.shape[0]) if x.ndim in (1, 2) else 0
     if c == 0 or c * c != x.shape[0]:
         raise ValueError(f"expected c^2 rows of two-mode amplitudes, got shape {x.shape}")
     basis = _mixing_basis(c)
     y = x.reshape(c * c, -1)[basis.order]
-    # the blocks are real, so they act on the real and imaginary parts at once
-    parts = y.view(np.float64)
-    for (rows, _, _), b in zip(basis.blocks, _beam_splitter_blocks(theta, c)):
-        parts[rows] = b @ parts[rows]
+    _apply_blocks(theta, y)
     return y[basis.inverse].reshape(x.shape)

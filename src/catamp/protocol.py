@@ -22,7 +22,7 @@ import numpy as np
 from .detection import PROBABILITY_FLOOR, DegenerateProbabilityError, herald_operator
 from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator,
                    MultiModeState, fidelity_mixed, projector)
-from .optics import apply_beam_splitter
+from .optics import _apply_blocks, _mixing_basis
 from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
 SOURCE_KINDS = ("ideal-cat", "squeezed-photon", "mixed-photon")
@@ -51,6 +51,8 @@ class StageParams:
             raise ValueError(f"input amplitudes must be finite and >= 0, got ({a}, {b})")
         if a == 0.0 and b == 0.0:
             raise ValueError("cannot plan a stage for two zero-amplitude inputs")
+        if not (math.isfinite(math.hypot(a, b)) and math.isfinite(self.gamma)):
+            raise ValueError(f"input amplitudes ({a}, {b}) overflow the stage's derived values")
         if not (math.isfinite(self.phi_a) and math.isfinite(self.phi_b)):
             raise ValueError(f"input phases must be finite, got ({self.phi_a}, {self.phi_b})")
         if not 0.0 <= self.eta <= 1.0:
@@ -165,7 +167,8 @@ def _input_branches(state, label: str):
     if isinstance(state, MultiModeState):
         if not state.is_normalized:
             raise ValueError(f"{label} input must have unit norm")
-        return np.array([1.0]), state.amplitudes[:, None], 0.0, state.leakage
+        v = state.amplitudes[:, None]
+        return np.array([1.0]), (v if v.imag.any() else v.real), 0.0, state.leakage
     if isinstance(state, DensityOperator):
         if abs(state.trace_value - 1.0) > 1e-8:
             raise ValueError(f"{label} input must have unit trace")
@@ -183,6 +186,10 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     Reports the unit-trace output with its success probability, fidelity
     against the nominal target cat, and purity. Mixed inputs are
     propagated branch-pairwise, which is exact for product inputs.
+
+    When neither input's branch vectors carry a nonzero imaginary part
+    (cat phases 0 or pi, squeezed states, and the outputs of such stages),
+    the stage runs in float64; otherwise the same code runs in complex128.
     """
     wa, va, disc_a, leak_a = _input_branches(input_a, "first")
     # a schedule feeds one state to both ports: decompose it once
@@ -193,12 +200,16 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
         raise ValueError(f"cutoff mismatch between inputs: {cutoff} vs {vb.shape[0]}")
 
     _, root = herald_operator(params.eta, params.gamma, cutoff)
-    # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, bright index slowest
-    pairs = ((va * np.sqrt(wa))[:, None, :, None]
-             * (vb * np.sqrt(wb))[None, :, None, :]).reshape(cutoff * cutoff, -1)
-    mixed = apply_beam_splitter(params.mixing_angle, pairs)
-    # Pi^{1/2} on the dump axis: rho = Y Y^dag is Hermitian PSD by construction
-    y = (root @ mixed.reshape(cutoff, cutoff, -1)).reshape(cutoff, -1)
+    basis = _mixing_basis(cutoff)
+    # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, its rows built
+    # straight in U1's photon-number order
+    pairs = ((va * np.sqrt(wa))[basis.first][:, :, None]
+             * (vb * np.sqrt(wb))[basis.second][:, None, :]).reshape(cutoff * cutoff, -1)
+    _apply_blocks(params.mixing_angle, pairs)
+    # Pi^{1/2} on the dump axis (bright index slowest): rho = Y Y^dag is
+    # Hermitian PSD by construction
+    mixed = pairs[basis.inverse].reshape(cutoff, cutoff, -1)
+    y = (root @ mixed).reshape(cutoff, -1)
     rho = y @ y.conj().T
     probability = float(np.trace(rho).real)
     if probability < PROBABILITY_FLOOR:
@@ -307,6 +318,10 @@ def success_probability(alpha: float, beta: float, phi_a: float, phi_b: float) -
     P = (1 - e^{-2 a^2 b^2 / (a^2+b^2)})^2 (1 + cos(phi_a+phi_b) e^{-2(a^2+b^2)})
         / (2 (1 + cos(phi_a) e^{-2 a^2}) (1 + cos(phi_b) e^{-2 b^2}))
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta) and alpha >= 0.0 and beta >= 0.0):
+        raise ValueError(f"amplitudes must be finite and >= 0, got ({alpha}, {beta})")
+    if not (math.isfinite(phi_a) and math.isfinite(phi_b)):
+        raise ValueError(f"phases must be finite, got ({phi_a}, {phi_b})")
     asq, bsq = alpha * alpha, beta * beta
     if asq + bsq == 0.0:
         raise ValueError("two zero-amplitude inputs have no success probability")
@@ -322,8 +337,10 @@ def success_probability(alpha: float, beta: float, phi_a: float, phi_b: float) -
 def squeezed_photon_cat_fidelity(r: float, alpha: float) -> float:
     """Closed-form overlap of the squeezed photon with the odd cat:
     F = 2 a^2 exp[a^2 (tanh r - 1)] / (cosh^3 r (1 - e^{-2 a^2}))."""
-    if alpha <= 0.0:
-        raise ValueError("cat amplitude must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"cat amplitude must be finite and positive, got {alpha}")
+    if not math.isfinite(r):
+        raise ValueError(f"squeezing must be finite, got {r}")
     asq = alpha * alpha
     return (2.0 * asq * math.exp(asq * (math.tanh(r) - 1.0))
             / (math.cosh(r) ** 3 * -math.expm1(-2.0 * asq)))
@@ -350,6 +367,6 @@ def homodyne_error(alpha: float) -> float:
     """Error rate for telling |alpha> from |-alpha> by quadrature
     measurement: overlap tail of two unit-variance-convention Gaussians,
     (1/2) erfc(sqrt(2) alpha)."""
-    if alpha < 0.0:
-        raise ValueError("amplitude must be non-negative")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"amplitude must be finite and non-negative, got {alpha}")
     return 0.5 * math.erfc(math.sqrt(2.0) * alpha)

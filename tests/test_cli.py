@@ -86,6 +86,7 @@ def test_amplify_matches_formula_for_ideal_source():
 def test_render_csv_format():
     table = cmd_purify(RunConfig())
     text = render_csv(table)
+    assert text.endswith("\n") and not text.endswith("\n\n")
     lines = text.splitlines()
     metas = [ln for ln in lines if ln.startswith("# ")]
     assert any(ln.startswith("# cutoff = ") for ln in metas)

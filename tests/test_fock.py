@@ -143,6 +143,19 @@ def test_density_operator_validation():
             DensityOperator(empty)
 
 
+def test_eigenbranches_of_a_real_matrix_are_real():
+    psi = coherent_state(0.8, 10).amplitudes
+    phi = fock_state(1, 10).amplitudes
+    rho = DensityOperator(0.7 * np.outer(psi, psi) + 0.3 * np.outer(phi, phi))
+    w, v, discarded = rho.eigenbranches()
+    assert v.dtype == np.float64 and len(w) == 2 and discarded < 1e-15
+    assert np.abs((v * w) @ v.T - rho.matrix).max() < 1e-14
+    twisted = coherent_state(0.8j, 10)
+    w, v, _ = projector(twisted).eigenbranches()
+    assert v.dtype == np.complex128
+    assert abs(abs(np.vdot(v[:, 0], twisted.amplitudes)) - 1.0) < 1e-14
+
+
 def test_operations_are_deterministic():
     a = coherent_state(0.8)
     b = coherent_state(0.8)

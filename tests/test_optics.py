@@ -104,6 +104,17 @@ def test_apply_beam_splitter_rejects_non_square_row_count():
         apply_beam_splitter(FIFTY, np.zeros((4, 2, 2)))
 
 
+def test_apply_beam_splitter_keeps_real_input_real():
+    c = 12
+    x = np.random.default_rng(3).standard_normal((c * c, 5))
+    real = apply_beam_splitter(FIFTY, x)
+    cplx = apply_beam_splitter(FIFTY, x.astype(np.complex128))
+    assert real.dtype == np.float64
+    assert cplx.dtype == np.complex128
+    assert np.abs(real - cplx).max() < 1e-14
+    assert apply_beam_splitter(FIFTY, x[:, 0].astype(np.float32)).dtype == np.float64
+
+
 def test_beam_splitter_coherent_displacement_rule():
     # 50:50 on |1> x |0> -> |1/sqrt2> x |-1/sqrt2>
     psi = _mix(FIFTY, coherent_state(1.0).amplitudes, coherent_state(0.0).amplitudes)

@@ -1,10 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from catamp import (DegenerateProbabilityError, DensityOperator, Schedule,
+from catamp import protocol
+from catamp import (DegenerateProbabilityError, DensityOperator, MultiModeState, Schedule,
                     SourceModel, StageParams, amplify_once, best_schedule, cat_state,
                     fidelity_mixed, fock_state, homodyne_error, mixed_inputs,
                     optimal_squeezing, plan_schedule, prepare_source,
@@ -13,6 +15,7 @@ from catamp import (DegenerateProbabilityError, DensityOperator, Schedule,
                     success_probability)
 
 from catamp.cli import FIG3_GRID
+from catamp.optics import _apply_blocks
 
 PI = math.pi
 ROOT2 = math.sqrt(2.0)
@@ -43,6 +46,40 @@ def test_stage_params_reject_bad_amplitudes_and_phases():
             StageParams(0.5, 0.5, phi, PI)
         with pytest.raises(ValueError, match="phases"):
             StageParams(0.5, 0.5, PI, phi)
+
+
+def test_stage_params_refuse_overflowing_derived_values():
+    # 2 alpha beta overflows before the division by A; hypot overflows later
+    for big in (1e200, 1e308):
+        with pytest.raises(ValueError, match="overflow"):
+            StageParams(big, big, 0.0, 0.0)
+    st = StageParams(1e150, 1e150, 0.0, 0.0)
+    assert math.isfinite(st.gamma) and st.mixing_angle == math.pi / 4
+
+
+def test_success_probability_rejects_non_finite_and_negative_inputs():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="amplitudes"):
+            success_probability(bad, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="amplitudes"):
+            success_probability(1.0, bad, 0.0, 0.0)
+    with pytest.raises(ValueError, match="phases"):
+        success_probability(1.0, 1.0, math.nan, 0.0)
+
+
+def test_squeezed_photon_cat_fidelity_rejects_non_finite_inputs():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="amplitude"):
+            squeezed_photon_cat_fidelity(0.3, bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="squeezing"):
+            squeezed_photon_cat_fidelity(bad, 1.0)
+
+
+def test_homodyne_error_rejects_non_finite_amplitudes():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="amplitude"):
+            homodyne_error(bad)
 
 
 def test_success_probability_oracle_values():
@@ -124,6 +161,69 @@ def test_parity_bookkeeping():
     res = amplify_once(cat_state(0.8, 0.0), cat_state(0.8, PI), stage)
     _, vecs, _ = res.output.eigenbranches()
     assert np.abs(vecs[0::2, 0]).max() < 1e-8
+
+
+TWIST = cmath.exp(0.3j)
+
+
+def _twisted(state):
+    """The same pure state times the global phase TWIST."""
+    return MultiModeState(TWIST * state.amplitudes, leakage=state.leakage)
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """The dtype of every pair array the stage kernel mixes."""
+    seen = []
+
+    def spy(theta, y):
+        seen.append(y.dtype)
+        return _apply_blocks(theta, y)
+
+    monkeypatch.setattr(protocol, "_apply_blocks", spy)
+    return seen
+
+
+def _assert_same_stage(real, cplx):
+    assert np.abs(real.output.matrix - cplx.output.matrix).max() < 1e-12
+    for key in ("probability", "fidelity", "purity"):
+        assert abs(getattr(real, key) - getattr(cplx, key)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta,eta", [(0.9, 1.3, 1.0), (2 ** -0.5, 2 ** -0.5, 0.6)])
+def test_real_and_complex_kernels_agree_on_pure_cats(alpha, beta, eta, kernel_dtypes):
+    # a global phase forces the complex path and leaves rho unchanged
+    stage = StageParams.plan(alpha, beta, PI, 0.0, eta=eta)
+    a, b = cat_state(alpha, PI), cat_state(beta, 0.0)
+    real = amplify_once(a, b, stage)
+    cplx = amplify_once(_twisted(a), _twisted(b), stage)
+    assert kernel_dtypes == [np.float64, np.complex128]
+    _assert_same_stage(real, cplx)
+
+
+def test_real_and_complex_kernels_agree_on_mixed_inputs(monkeypatch, kernel_dtypes):
+    rho = mixed_inputs(SourceModel("mixed-photon", r=0.3, p=0.3))
+    stage = StageParams.plan(0.6, 0.6, PI, PI, eta=0.8)
+    real = amplify_once(rho, rho, stage)
+    branches = DensityOperator.eigenbranches
+
+    def twisted_branches(self):
+        """The same branches, each times the global phase TWIST."""
+        w, v, discarded = branches(self)
+        return w, TWIST * v, discarded
+
+    monkeypatch.setattr(DensityOperator, "eigenbranches", twisted_branches)
+    cplx = amplify_once(rho, rho, stage)
+    assert kernel_dtypes == [np.float64, np.complex128]
+    _assert_same_stage(real, cplx)
+
+
+def test_real_inputs_run_the_stage_in_float64(kernel_dtypes):
+    # every source the CLI offers is real, and so is every stage it feeds
+    for kind in protocol.SOURCE_KINDS:
+        source = SourceModel(kind, p=0.2 if kind == "mixed-photon" else 0.0)
+        run_schedule(plan_schedule(2.0, 3, eta=0.8), source)
+    assert kernel_dtypes == [np.float64] * 9
 
 
 def test_amplify_once_degenerate_probability():
