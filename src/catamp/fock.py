@@ -5,6 +5,11 @@ Single-mode pure state vectors and density operators, the projector
 ``fidelity_mixed(projector(phi), psi)``. Every value is immutable after
 construction and every operation is a pure function of its inputs, so
 instances can be shared freely across parameter-sweep workers.
+
+A state's dtype is decided once, when it is stored: float64 when no
+entry has a nonzero imaginary part, complex128 otherwise. Code that
+reads a state follows its stored dtype, so real states stay real
+through every stage they feed.
 """
 
 from __future__ import annotations
@@ -26,17 +31,26 @@ LEAKAGE_WARN = 1e-6
 EIGEN_FLOOR = 1e-10
 
 
+def _stored(values) -> np.ndarray:
+    """A fresh copy of ``values``: float64 when no entry has a nonzero
+    imaginary part, complex128 otherwise."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and arr.imag.any():
+        return arr.astype(np.complex128)
+    return arr.real.astype(np.float64)
+
+
 class MultiModeState:
     """Pure state of one bosonic mode on a truncated Fock basis.
 
-    The amplitude vector is one-dimensional and read-only. ``leakage``
-    records the squared-norm deficit a constructor absorbed when
-    renormalizing a truncated expansion; 0 for states that fit the
-    cutoff exactly.
+    The amplitude vector is one-dimensional and read-only, float64 when
+    it is real and complex128 otherwise. ``leakage`` records the
+    squared-norm deficit a constructor absorbed when renormalizing a
+    truncated expansion; 0 for states that fit the cutoff exactly.
     """
 
     def __init__(self, amplitudes, leakage: float = 0.0):
-        arr = np.array(amplitudes, dtype=np.complex128)
+        arr = _stored(amplitudes)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"amplitudes must be a non-empty vector, got shape {arr.shape}")
         nsq = float(np.vdot(arr, arr).real)
@@ -66,11 +80,12 @@ class DensityOperator:
     """Hermitian positive-semidefinite operator on one truncated mode.
 
     An operator of trace below one carries a conditioning probability as
-    its trace; ``trace_value`` caches it.
+    its trace; ``trace_value`` caches it. The matrix is read-only, float64
+    when it is real and complex128 otherwise.
     """
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.complex128)
+        m = _stored(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise ValueError(f"density operator must be square and non-empty, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -101,10 +116,9 @@ class DensityOperator:
 
         Returns (weights, vectors, discarded) with weights descending,
         vectors as columns, and ``discarded`` the total weight dropped by
-        the ``EIGEN_FLOOR``.
+        the ``EIGEN_FLOOR``. The vectors have the matrix's dtype.
         """
-        m = self.matrix
-        w, v = np.linalg.eigh(m if m.imag.any() else m.real)
+        w, v = np.linalg.eigh(self.matrix)
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
         keep = w >= EIGEN_FLOOR

@@ -15,6 +15,7 @@ independently of the simulator and serve as its oracles.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,8 +135,9 @@ class Schedule:
     def __post_init__(self):
         if not self.alpha_target > 0.0:
             raise ValueError("target amplitude must be positive")
-        if self.n_iterations < 0:
-            raise ValueError("iteration count must be non-negative")
+        if not isinstance(self.n_iterations, numbers.Integral) or self.n_iterations < 0:
+            raise ValueError(
+                f"iteration count must be a non-negative integer, got {self.n_iterations!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
 
@@ -167,8 +169,7 @@ def _input_branches(state, label: str):
     if isinstance(state, MultiModeState):
         if not state.is_normalized:
             raise ValueError(f"{label} input must have unit norm")
-        v = state.amplitudes[:, None]
-        return np.array([1.0]), (v if v.imag.any() else v.real), 0.0, state.leakage
+        return np.array([1.0]), state.amplitudes[:, None], 0.0, state.leakage
     if isinstance(state, DensityOperator):
         if abs(state.trace_value - 1.0) > 1e-8:
             raise ValueError(f"{label} input must have unit trace")
@@ -187,9 +188,9 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     against the nominal target cat, and purity. Mixed inputs are
     propagated branch-pairwise, which is exact for product inputs.
 
-    When neither input's branch vectors carry a nonzero imaginary part
-    (cat phases 0 or pi, squeezed states, and the outputs of such stages),
-    the stage runs in float64; otherwise the same code runs in complex128.
+    The stage runs in its inputs' stored dtype: in float64 when both are
+    real (cat phases 0 or pi, squeezed states, and the outputs of such
+    stages), in complex128 when either is complex.
     """
     wa, va, disc_a, leak_a = _input_branches(input_a, "first")
     # a schedule feeds one state to both ports: decompose it once

@@ -3,7 +3,12 @@
 Fock states, coherent states, cat states (superpositions of two opposite
 coherent amplitudes), squeezed vacuum and the squeezed single photon.
 All constructors renormalize within the truncated basis and record the
-squared-norm deficit they absorbed as ``state.leakage``.
+squared-norm deficit they absorbed as ``state.leakage``. They check the
+cutoff and the amplitude before any arithmetic, and build real
+amplitudes in float64; only a complex coherent amplitude or a cat phase
+other than 0 or pi makes a complex state. Divisions by a real number are
+multiplications by its reciprocal, as complex128 division by a real is,
+so an amplitude's digits do not depend on its dtype.
 
 The squeeze convention is exp(-(r/2)(a^2 - adag^2)), which for r > 0
 stretches a single photon into positive odd-photon-number coefficients;
@@ -13,6 +18,7 @@ are its closed-form series, exact on the kept basis.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -63,21 +69,30 @@ def _phase_factor(phi: float) -> complex:
     return complex(c, s)
 
 
-def fock_state(n: int, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
-    """Number state |n>."""
+def _check_level(n: int, cutoff: int) -> None:
+    """Refuse a cutoff whose basis [0, cutoff) does not hold |n>."""
     if not 0 <= n < cutoff:
         raise ValueError(f"photon number {n} outside truncated basis [0, {cutoff})")
-    amp = np.zeros(cutoff, dtype=np.complex128)
+
+
+def fock_state(n: int, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
+    """Number state |n>."""
+    _check_level(n, cutoff)
+    amp = np.zeros(cutoff)
     amp[n] = 1.0
     return MultiModeState(amp)
 
 
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    # c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), by stable recurrence
-    amp = np.zeros(cutoff, dtype=np.complex128)
+    # c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), by stable recurrence;
+    # complex only for a complex alpha
+    _check_level(0, cutoff)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    amp = np.zeros(cutoff, dtype=np.result_type(alpha, np.float64))
     amp[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, cutoff):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+        amp[n] = amp[n - 1] * alpha * (1.0 / math.sqrt(n))
     return amp
 
 
@@ -85,8 +100,10 @@ def coherent_state(alpha: complex, cutoff: int = DEFAULT_CUTOFF) -> MultiModeSta
     """Coherent state |alpha>, renormalized within the cutoff."""
     amp = _coherent_amplitudes(alpha, cutoff)
     nsq = float(np.vdot(amp, amp).real)
+    if nsq <= 0.0:
+        raise ValueError(f"coherent amplitude {alpha} underflows to the null vector")
     deficit = max(0.0, 1.0 - nsq)
-    return MultiModeState(amp / math.sqrt(nsq), leakage=deficit)
+    return MultiModeState(amp * (1.0 / math.sqrt(nsq)), leakage=deficit)
 
 
 def cat_state(spec: "CatSpec | float", phi: float = math.pi,
@@ -115,7 +132,7 @@ def cat_state(spec: "CatSpec | float", phi: float = math.pi,
     # written with expm1 so tiny odd cats do not cancel to 0
     full = 2.0 * ((1.0 + ph.real) + ph.real * math.expm1(-2.0 * alpha * alpha))
     deficit = max(0.0, 1.0 - nsq / full)
-    return MultiModeState(amp / math.sqrt(nsq), leakage=deficit)
+    return MultiModeState(amp * (1.0 / math.sqrt(nsq)), leakage=deficit)
 
 
 def _squeezed_series(r: float, k: int, cutoff: int) -> MultiModeState:
@@ -125,10 +142,11 @@ def _squeezed_series(r: float, k: int, cutoff: int) -> MultiModeState:
     evaluated in log space to survive the factorials; amplitudes of the
     other parity are exactly zero.
     """
+    _check_level(k, cutoff)
     if not math.isfinite(r) or abs(r) > MAX_SQUEEZE:
         raise ValueError(f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZE}, got {r}")
     t = math.tanh(r)
-    amp = np.zeros(cutoff, dtype=np.complex128)
+    amp = np.zeros(cutoff)
     if t == 0.0:
         amp[k] = 1.0
         return MultiModeState(amp)
@@ -141,7 +159,7 @@ def _squeezed_series(r: float, k: int, cutoff: int) -> MultiModeState:
         amp[2 * n + k] = sign * math.exp(ln_c)
         total += math.exp(2.0 * ln_c)
     deficit = max(0.0, 1.0 - total)
-    return MultiModeState(amp / math.sqrt(total), leakage=deficit)
+    return MultiModeState(amp * (1.0 / math.sqrt(total)), leakage=deficit)
 
 
 def squeezed_photon(r: float, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:

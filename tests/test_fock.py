@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import (DensityOperator, MultiModeState, coherent_state,
-                    fidelity_mixed, fock_state, projector)
+from catamp import (DensityOperator, MultiModeState, SourceModel, cat_state,
+                    coherent_state, fidelity_mixed, fock_state, mixed_inputs,
+                    plan_schedule, projector, run_schedule, squeezed_photon,
+                    squeezed_vacuum)
+from catamp.protocol import SOURCE_KINDS
 
 # The three-mode product states and partial traces below are the brute-force
 # reference's; with dead detectors (eta = 0) its double no-click conditioning
@@ -170,3 +173,34 @@ def test_states_reject_null_and_bad_shapes():
         MultiModeState(np.ones((3, 4)))
     with pytest.raises(ValueError):
         MultiModeState(np.ones((4, 4)))  # one mode per state
+
+
+@pytest.mark.parametrize("stored,entries,twist", [
+    (lambda a: MultiModeState(a).amplitudes, np.array([0.6, 0.8]), np.array([1.0, 1j])),
+    (lambda m: DensityOperator(m).matrix, np.array([[0.5, 0.1], [0.1, 0.5]]),
+     np.array([[1.0, 1j], [-1j, 1.0]])),
+], ids=["MultiModeState", "DensityOperator"])
+def test_constructors_store_float64_unless_an_entry_is_complex(stored, entries, twist):
+    for real in (entries, entries.astype(np.complex128), np.conj(entries.astype(np.complex128))):
+        kept = stored(real)
+        assert kept.dtype == np.float64 and np.array_equal(kept, entries)
+        assert not np.shares_memory(kept, real)
+    assert stored(entries * twist).dtype == np.complex128
+    assert stored(entries + 1e-300j * twist.imag).dtype == np.complex128
+
+
+def test_real_parameters_give_float64_states_and_stage_outputs():
+    for state in (fock_state(1), squeezed_photon(0.3), squeezed_vacuum(0.3),
+                  cat_state(0.8, 0.0), cat_state(0.8, math.pi), coherent_state(0.5)):
+        assert state.amplitudes.dtype == np.float64
+    assert mixed_inputs(SourceModel("mixed-photon", r=0.3, p=0.2)).matrix.dtype == np.float64
+    for kind in SOURCE_KINDS:
+        source = SourceModel(kind, p=0.2 if kind == "mixed-photon" else 0.0)
+        for res in run_schedule(plan_schedule(2.0, 3, eta=0.8), source):
+            assert res.output.matrix.dtype == np.float64, kind
+
+
+def test_complex_parameters_give_complex128_states():
+    assert coherent_state(0.3 + 0.4j).amplitudes.dtype == np.complex128
+    assert cat_state(0.8, 0.3).amplitudes.dtype == np.complex128
+    assert projector(cat_state(0.8, 0.3)).matrix.dtype == np.complex128

@@ -329,6 +329,9 @@ def test_schedule_rejects_bad_plans():
             plan_schedule(target, 2)
     with pytest.raises(ValueError, match="iteration"):
         Schedule(2.0, -1)
+    for count in (1.5, 2.0):
+        with pytest.raises(ValueError, match="iteration"):
+            plan_schedule(2.0, count)
     assert plan_schedule(2.0, 0).stages == ()
 
 

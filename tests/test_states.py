@@ -141,3 +141,21 @@ def test_negative_squeeze_alternates_sign():
     amps = squeezed_photon(-0.3).amplitudes[1::2].real
     assert amps[0] > 0 > amps[1]
     assert amps[2] > 0
+
+
+@pytest.mark.parametrize("build,args,kwargs", [
+    (cat_state, (0.5,), {"cutoff": 0}),
+    (coherent_state, (0.5,), {"cutoff": 0}),
+    (squeezed_photon, (0.3,), {"cutoff": 1}),
+    (squeezed_vacuum, (0.3,), {"cutoff": 0}),
+    (coherent_state, (math.nan,), {}),
+    (coherent_state, (math.inf,), {}),
+    (coherent_state, (complex(0.5, math.nan),), {}),
+    (coherent_state, (40.0,), {}),
+], ids=["cat-cutoff-0", "coherent-cutoff-0", "photon-cutoff-1",
+        "vacuum-cutoff-0", "coherent-nan", "coherent-inf", "coherent-complex-nan",
+        "coherent-null"])
+def test_constructors_refuse_bad_cutoff_or_amplitude(build, args, kwargs):
+    # a warning or an IndexError on the way would fail this test
+    with pytest.raises(ValueError):
+        build(*args, **kwargs)
