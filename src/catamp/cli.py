@@ -67,12 +67,13 @@ def _unit(value: float) -> float:
 
 
 def render_csv(table: Table) -> str:
-    lines = [f"# {k} = {_fmt(v)}" for k, v in table.meta.items()]
-    lines.append(",".join(table.columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
-    # the empty last line ends the text with a newline without a second copy
-    lines.append("")
-    return "\n".join(lines)
+    text = "".join(f"# {k} = {_fmt(v)}\n" for k, v in table.meta.items())
+    text += ",".join(table.columns) + "\n"
+    # appending to the text's only reference lets CPython grow it in place,
+    # so a long table is never held twice, once as lines and once joined
+    for row in table.rows:
+        text += ",".join(_fmt(v) for v in row) + "\n"
+    return text
 
 
 def render_json(table: Table) -> str:
