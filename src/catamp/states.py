@@ -7,8 +7,8 @@ squared-norm deficit they absorbed as ``state.leakage``. They check the
 cutoff and the amplitude before any arithmetic, and build real
 amplitudes in float64; only a complex coherent amplitude or a cat phase
 other than 0 or pi makes a complex state. Divisions by a real number are
-multiplications by its reciprocal, as complex128 division by a real is,
-so an amplitude's digits do not depend on its dtype.
+multiplications by its reciprocal, which is how numpy divides complex128
+by a real, so a real amplitude has the same digits in either dtype.
 
 The squeeze convention is exp(-(r/2)(a^2 - adag^2)), which for r > 0
 stretches a single photon into positive odd-photon-number coefficients;
@@ -84,8 +84,7 @@ def fock_state(n: int, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
 
 
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    # c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), by stable recurrence;
-    # complex only for a complex alpha
+    # c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), by stable recurrence
     _check_level(0, cutoff)
     if not cmath.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha}")
