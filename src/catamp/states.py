@@ -35,6 +35,10 @@ __all__ = [
 # below r*(2.5) = 1.067, well inside it.
 MAX_SQUEEZE = 2.0
 
+# Beyond this |alpha| the vacuum weight exp(-|alpha|^2/2) underflows to 0,
+# so a coherent expansion is the null vector at every cutoff.
+_NULL_COHERENT = 38.6
+
 
 @dataclass(frozen=True)
 class CatSpec:
@@ -88,6 +92,8 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     _check_level(0, cutoff)
     if not cmath.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    if abs(alpha) > _NULL_COHERENT:
+        raise ValueError(f"coherent amplitude {alpha} underflows to the null vector")
     amp = np.zeros(cutoff, dtype=np.result_type(alpha, np.float64))
     amp[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, cutoff):

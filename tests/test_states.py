@@ -151,10 +151,12 @@ def test_negative_squeeze_alternates_sign():
     (coherent_state, (math.nan,), {}),
     (coherent_state, (math.inf,), {}),
     (coherent_state, (complex(0.5, math.nan),), {}),
-    (coherent_state, (40.0,), {}),
+    (coherent_state, (30.0,), {}),
+    (coherent_state, (1e200,), {}),
+    (cat_state, (1e200, 0.0), {}),
 ], ids=["cat-cutoff-0", "coherent-cutoff-0", "photon-cutoff-1",
         "vacuum-cutoff-0", "coherent-nan", "coherent-inf", "coherent-complex-nan",
-        "coherent-null"])
+        "coherent-null", "coherent-huge", "cat-huge"])
 def test_constructors_refuse_bad_cutoff_or_amplitude(build, args, kwargs):
     # a warning or an IndexError on the way would fail this test
     with pytest.raises(ValueError):
