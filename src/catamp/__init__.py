@@ -9,7 +9,6 @@ grow the cat amplitude by sqrt(2) per iteration.
 from .detection import DegenerateProbabilityError
 from .fock import (DEFAULT_CUTOFF, DensityOperator, MultiModeState,
                    fidelity_mixed, projector)
-from .optics import apply_beam_splitter
 from .protocol import (IterationResult, Schedule, SourceModel, StageParams,
                        amplify_once, best_schedule, homodyne_error,
                        mixed_inputs, optimal_squeezing, plan_schedule,
@@ -25,7 +24,7 @@ __all__ = [
     "fidelity_mixed",
     "CatSpec", "fock_state", "coherent_state", "cat_state",
     "squeezed_photon", "squeezed_vacuum",
-    "apply_beam_splitter", "DegenerateProbabilityError",
+    "DegenerateProbabilityError",
     "StageParams", "IterationResult", "SourceModel", "Schedule",
     "plan_schedule", "prepare_source", "amplify_once", "run_schedule",
     "best_schedule", "mixed_inputs", "success_probability",

