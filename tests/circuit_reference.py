@@ -14,8 +14,8 @@ unitary, a reference for the closed-form squeezed states.
 Splitters are named by their mixing angle theta: reflectivity
 sin(theta), transmittivity cos(theta). Only ``coherent_state`` comes
 from catamp. ``apply_beam_splitter`` is no reference: it drives
-catamp's own grouped U1 on flat two-mode amplitudes, for the tests that
-check it against this module.
+catamp's own U1 on flat two-mode amplitudes, for the tests that check
+it against this module.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from catamp import coherent_state
-from catamp.optics import _apply_blocks, _mixing_basis
+from catamp.optics import _mix_pairs
 
 FIFTY = math.pi / 4
 
@@ -67,18 +67,14 @@ def apply_beam_splitter(theta, x):
     ``x``, one flattened two-mode amplitude vector or a c^2 x k array of
     them as columns, the first mode the slower half of the flat index.
     Real input gives a float64 result and complex input a complex128
-    one. The rows are gathered once into U1's grouped layout, padding
-    rows reading an appended zero, mixed, and gathered back."""
+    one. U1 is taken as the c^2 x c^2 matrix of catamp's images of the
+    number states |i>|j>, the products of the identity's columns."""
     x = np.asarray(x)
     x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
     c = math.isqrt(x.shape[0]) if x.ndim in (1, 2) else 0
     if c == 0 or c * c != x.shape[0]:
         raise ValueError(f"expected c^2 rows of two-mode amplitudes, got shape {x.shape}")
-    basis = _mixing_basis(c)
-    grid = np.zeros((c + 1, c + 1, x.size // x.shape[0]), dtype=x.dtype)
-    grid[:c, :c] = x.reshape(c, c, -1)
-    y = _apply_blocks(theta, c, grid[basis.first, basis.second])
-    return y[basis.inverse].reshape(x.shape)
+    return _mix_pairs(theta, np.eye(c), np.eye(c)).reshape(c * c, c * c) @ x
 
 
 def apply_two_mode(u, psi, m1, m2):

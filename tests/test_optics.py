@@ -6,7 +6,8 @@ import pytest
 import circuit_reference as ref
 from catamp import (StageParams, cat_state, coherent_state, fock_state,
                     squeezed_photon)
-from catamp.optics import _apply_blocks, _beam_splitter_blocks, _mixing_basis
+from catamp.optics import (_apply_blocks, _beam_splitter_blocks, _mix_pairs,
+                           _mixing_basis)
 from circuit_reference import apply_beam_splitter
 
 # mixing angles: reflectivity sin(theta), transmittivity cos(theta)
@@ -73,42 +74,44 @@ def test_beam_splitter_block_structure_is_exact():
 THETAS = [0.3, math.pi / 4, 1.2]
 
 
-@pytest.mark.parametrize("cutoff", [8, 30, 64])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 @pytest.mark.parametrize("theta", THETAS)
 def test_blocks_match_reference_expm_matrix(cutoff, theta):
     # column by column against the reference's dense per-block expm, so
-    # the c^2 x c^2 matrix is never built on either side
-    worst = 0.0
-    for flat, block in ref.beam_splitter_blocks(theta, cutoff):
-        cols = np.zeros((cutoff * cutoff, len(flat)))
-        cols[flat, np.arange(len(flat))] = 1.0
-        want = np.zeros_like(cols)
-        want[flat] = block
-        worst = max(worst, np.abs(apply_beam_splitter(theta, cols) - want).max())
+    # the c^2 x c^2 matrix is never built on either side: the images of
+    # the number states |i>|j>, then of complex product columns
+    n = cutoff * cutoff
+    blocks = list(ref.beam_splitter_blocks(theta, cutoff))
+    image = {col: (flat, v) for flat, block in blocks for col, v in zip(flat, block.T)}
+    eye, worst = np.eye(cutoff), 0.0
+    for i in range(cutoff):
+        got = _mix_pairs(theta, eye[:, [i]], eye).reshape(n, cutoff)
+        want = np.zeros_like(got)
+        for j in range(cutoff):
+            flat, v = image[i * cutoff + j]
+            want[flat, j] = v
+        worst = max(worst, np.abs(got - want).max())
+    rng = np.random.default_rng(cutoff)
+    a, b = rng.standard_normal((2, cutoff, 3, 2)) @ (1.0, 1j)
+    got = _mix_pairs(theta, a, b).reshape(n, -1)
+    assert got.dtype == np.complex128
+    pairs = (a[:, None, :, None] * b[None, :, None, :]).reshape(got.shape)
+    for flat, block in blocks:
+        worst = max(worst, np.abs(got[flat] - block @ pairs[flat]).max())
     assert worst < 1e-11
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
-@pytest.mark.parametrize("theta", THETAS)
-def test_grouped_blocks_match_reference_and_keep_padding_zero(cutoff, theta):
-    # random columns laid out as the stage kernel lays out its pairs:
-    # every row of the grouped layout reads the c x c grid, padding rows
-    # its appended zero row and column
+def test_padding_rows_stay_zero(cutoff):
     basis = _mixing_basis(cutoff)
     pad = basis.first == cutoff
     assert np.array_equal(pad, basis.second == cutoff)
     rng = np.random.default_rng(cutoff)
-    real = rng.standard_normal((cutoff, cutoff, 3))
-    blocks = list(ref.beam_splitter_blocks(theta, cutoff))
-    for x in (real, real + 1j * rng.standard_normal(real.shape)):
-        grid = np.zeros((cutoff + 1, cutoff + 1, 3), dtype=x.dtype)
-        grid[:cutoff, :cutoff] = x
-        rows = _apply_blocks(theta, cutoff, grid[basis.first, basis.second])
-        assert rows.dtype == x.dtype
-        assert np.all(rows[pad] == 0.0)
-        got, flat = rows[basis.inverse], x.reshape(cutoff * cutoff, 3)
-        for idx, block in blocks:
-            assert np.abs(got[idx] - block @ flat[idx]).max() < 1e-11
+    rows = np.zeros((len(pad), 3), dtype=np.complex128)
+    rows[~pad] = rng.standard_normal((cutoff * cutoff, 3, 2)) @ (1.0, 1j)
+    for theta in THETAS:
+        for y in (rows.real.copy(), rows):
+            assert np.all(_apply_blocks(theta, cutoff, y)[pad] == 0.0)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])

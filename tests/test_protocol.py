@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from catamp import protocol
+from catamp import optics, protocol
 from catamp import (DegenerateProbabilityError, DensityOperator, MultiModeState, Schedule,
                     SourceModel, StageParams, amplify_once, best_schedule, cat_state,
                     fidelity_mixed, fock_state, homodyne_error, mixed_inputs,
@@ -182,7 +182,7 @@ def kernel_dtypes(monkeypatch):
         seen.append(out.dtype)
         return out
 
-    monkeypatch.setattr(protocol, "_apply_blocks", spy)
+    monkeypatch.setattr(optics, "_apply_blocks", spy)
     return seen
 
 
