@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -218,16 +217,6 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
                    max(leak_a, leak_b, disc_a, disc_b))
 
 
-# A schedule's stage targets repeat across its runs: best_schedule at
-# one target judges 28 stages against 16-18 distinct targets, and one
-# pass over the benchmark's deep-schedule grid 224 stages against 116.
-# The cache holds such a pass. states.cat_state itself stays uncached,
-# since sweeps call it with ever new amplitudes.
-@lru_cache(maxsize=128)
-def _target_state(target: CatSpec, cutoff: int) -> MultiModeState:
-    return cat_state(target, cutoff=cutoff)
-
-
 def _judged(output: DensityOperator, probability: float, target: CatSpec,
             leak: float) -> IterationResult:
     """``output`` with its fidelity against the ``target`` cat, its purity
@@ -236,7 +225,7 @@ def _judged(output: DensityOperator, probability: float, target: CatSpec,
         output=output,
         probability=probability,
         nominal_target=target,
-        fidelity=fidelity_mixed(output, _target_state(target, output.cutoff)),
+        fidelity=fidelity_mixed(output, cat_state(target, cutoff=output.cutoff)),
         purity=output.purity(),
         leakage_warning=leak if leak > LEAKAGE_WARN else None,
     )

@@ -357,26 +357,6 @@ def test_run_schedule_ideal_cats_stay_ideal():
         assert r.fidelity >= 1 - 1e-5
 
 
-def test_run_schedule_reuses_its_stage_targets(monkeypatch):
-    # a second run of a schedule judges its stages against cached target
-    # cats, equal to the ones cat_state builds
-    sched, source = plan_schedule(2.0, 3), SourceModel("squeezed-photon")
-    first = run_schedule(sched, source)
-    built = []
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return cat_state(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "cat_state", counted)
-    again = run_schedule(sched, source)
-    assert built == []
-    assert [r.fidelity for r in again] == [r.fidelity for r in first]
-    for r in again:
-        cached = protocol._target_state(r.nominal_target, 30)
-        assert np.array_equal(cached.amplitudes, cat_state(r.nominal_target).amplitudes)
-
-
 def test_run_schedule_reproduces_reference_anchor():
     res = run_schedule(plan_schedule(2.0, 4), SourceModel("squeezed-photon"))
     assert abs(res[-1].fidelity - 0.995) < 0.003
