@@ -296,34 +296,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        file_cfg = parse_config(args.config) if args.config else {}
-
-        def pick(flag, key, default):
-            if flag is not None:
-                return flag
-            return file_cfg.get(key, default)
-
-        cfg = RunConfig(cutoff=pick(args.cutoff, "cutoff", DEFAULT_CUTOFF),
-                        eta=pick(args.eta, "eta", 1.0),
-                        fmt=pick(args.format, "format", "csv"),
-                        out=pick(args.out, "out", None))
-        if args.command == "fig2":
-            table = cmd_fig2(cfg)
-        elif args.command == "fig3":
-            table = cmd_fig3(cfg)
-        elif args.command == "fig4":
-            table = cmd_fig4(cfg, max_n=args.max_n)
-        elif args.command == "purify":
-            table = cmd_purify(cfg)
-        else:
-            params = {k: v for k, v in file_cfg.items() if k in
-                      ("alpha_target", "iterations", "source", "r", "p")}
-            for key in ("alpha_target", "iterations", "source", "r", "p"):
-                flag = getattr(args, key)
-                if flag is not None:
-                    params[key] = flag
-            table = cmd_amplify(cfg, params)
-        _emit(table, cfg)
+        # the config file's values, each overridden by a flag that is given
+        opts = parse_config(args.config) if args.config else {}
+        opts.update((k, v) for k, v in vars(args).items() if v is not None)
+        cfg = RunConfig(cutoff=opts.get("cutoff", DEFAULT_CUTOFF), eta=opts.get("eta", 1.0),
+                        fmt=opts.get("format", "csv"), out=opts.get("out"))
+        commands = {"fig2": cmd_fig2, "fig3": cmd_fig3, "purify": cmd_purify,
+                    "fig4": lambda cfg: cmd_fig4(cfg, max_n=opts["max_n"]),
+                    "amplify": lambda cfg: cmd_amplify(cfg, opts)}
+        _emit(commands[args.command](cfg), cfg)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

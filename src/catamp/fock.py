@@ -81,10 +81,12 @@ class DensityOperator:
 
     An operator of trace below one carries a conditioning probability as
     its trace; ``trace_value`` caches it. The matrix is read-only, float64
-    when it is real and complex128 otherwise.
+    when it is real and complex128 otherwise. ``leakage`` records the
+    truncation deficit of the states it was built from, as on
+    ``MultiModeState``.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, leakage: float = 0.0):
         m = _stored(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise ValueError(f"density operator must be square and non-empty, got shape {m.shape}")
@@ -102,6 +104,7 @@ class DensityOperator:
         m.flags.writeable = False
         self.matrix = m
         self.trace_value = tr
+        self.leakage = float(leakage)
 
     @property
     def cutoff(self) -> int:
@@ -130,10 +133,10 @@ class DensityOperator:
 
 
 def projector(psi: MultiModeState) -> DensityOperator:
-    """|psi><psi| for a pure state."""
+    """|psi><psi| for a pure state, with its leakage."""
     v = psi.amplitudes
     m = np.outer(v, v.conj())
-    return DensityOperator(0.5 * (m + m.conj().T))
+    return DensityOperator(0.5 * (m + m.conj().T), leakage=psi.leakage)
 
 
 def fidelity_mixed(rho: DensityOperator, psi: MultiModeState) -> float:

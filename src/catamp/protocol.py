@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import PROBABILITY_FLOOR, DegenerateProbabilityError, herald_operator
+from .detection import PROBABILITY_FLOOR, DegenerateProbabilityError, herald_root
 from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator,
                    MultiModeState, fidelity_mixed, projector)
 from .optics import _mix_pairs
@@ -164,17 +164,16 @@ def plan_schedule(alpha_target: float, n_iterations: int, eta: float = 1.0) -> S
 def _input_branches(state, label: str):
     """Decompose an input into weighted pure branches.
 
-    Returns (weights, column vectors, discarded weight, leakage).
+    Returns (weights, column vectors, discarded weight).
     """
     if isinstance(state, MultiModeState):
         if not state.is_normalized:
             raise ValueError(f"{label} input must have unit norm")
-        return np.array([1.0]), state.amplitudes[:, None], 0.0, state.leakage
+        return np.array([1.0]), state.amplitudes[:, None], 0.0
     if isinstance(state, DensityOperator):
         if abs(state.trace_value - 1.0) > 1e-8:
             raise ValueError(f"{label} input must have unit trace")
-        w, v, discarded = state.eigenbranches()
-        return w, v, discarded, 0.0
+        return state.eigenbranches()
     raise TypeError(f"{label} input must be a MultiModeState or DensityOperator")
 
 
@@ -183,24 +182,25 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
 
     Applies U1 to (a, b) and keeps the bright port heralded by both
     detectors clicking, ``Tr_dump[(1 x Pi) U1 (a x b) U1^dag]`` with Pi
-    the ``herald_operator`` of the auxiliary |gamma> and detectors.
-    Reports the unit-trace output with its success probability, fidelity
-    against the nominal target cat, and purity. Mixed inputs are
-    propagated branch-pairwise, which is exact for product inputs.
+    the ``herald_operator`` of the auxiliary |gamma> and detectors, as
+    its cached ``herald_root``. Reports the unit-trace output with its
+    success probability, fidelity against the nominal target cat, and
+    purity. Mixed inputs are propagated branch-pairwise, which is exact
+    for product inputs.
 
     The stage runs in its inputs' stored dtype: in float64 when both are
     real (cat phases 0 or pi, squeezed states, and the outputs of such
     stages), in complex128 when either is complex.
     """
-    wa, va, disc_a, leak_a = _input_branches(input_a, "first")
+    wa, va, disc_a = _input_branches(input_a, "first")
     # a schedule feeds one state to both ports: decompose it once
-    wb, vb, disc_b, leak_b = (_input_branches(input_b, "second") if input_b is not input_a
-                              else (wa, va, disc_a, leak_a))
+    wb, vb, disc_b = (_input_branches(input_b, "second") if input_b is not input_a
+                      else (wa, va, disc_a))
     cutoff = va.shape[0]
     if vb.shape[0] != cutoff:
         raise ValueError(f"cutoff mismatch between inputs: {cutoff} vs {vb.shape[0]}")
 
-    _, root = herald_operator(params.eta, params.gamma, cutoff)
+    root = herald_root(params.eta, params.gamma, cutoff)
     # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, after U1
     pairs = _mix_pairs(params.mixing_angle, va * np.sqrt(wa), vb * np.sqrt(wb))
     # Pi^{1/2} on the dump axis (bright index slowest): rho = Y Y^dag is
@@ -214,7 +214,7 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
 
     output = DensityOperator(0.5 * (rho + rho.conj().T) / probability)
     return _judged(output, probability, params.nominal_target,
-                   max(leak_a, leak_b, disc_a, disc_b))
+                   max(input_a.leakage, input_b.leakage, disc_a, disc_b))
 
 
 def _judged(output: DensityOperator, probability: float, target: CatSpec,
@@ -225,7 +225,7 @@ def _judged(output: DensityOperator, probability: float, target: CatSpec,
         output=output,
         probability=probability,
         nominal_target=target,
-        fidelity=fidelity_mixed(output, cat_state(target, cutoff=output.cutoff)),
+        fidelity=fidelity_mixed(output, cat_state(target.alpha, target.phi, cutoff=output.cutoff)),
         purity=output.purity(),
         leakage_warning=leak if leak > LEAKAGE_WARN else None,
     )
@@ -243,14 +243,17 @@ def prepare_source(source: SourceModel, alpha_i: float, cutoff: int = DEFAULT_CU
 
 def mixed_inputs(source: SourceModel, cutoff: int = DEFAULT_CUTOFF) -> DensityOperator:
     """Imperfect-photon-source input: (1-p)|S1><S1| + p|S0><S0| with
-    S1 the squeezed photon and S0 the squeezed vacuum at the same r."""
+    S1 the squeezed photon and S0 the squeezed vacuum at the same r. Its
+    leakage is the same mixture of the two states' deficits."""
     if source.kind != "mixed-photon":
         raise ValueError("mixed_inputs expects a mixed-photon source")
     if source.r is None:
         raise ValueError("mixed_inputs needs an explicit squeezing parameter r")
-    s1 = projector(squeezed_photon(source.r, cutoff=cutoff)).matrix
-    s0 = projector(squeezed_vacuum(source.r, cutoff=cutoff)).matrix
-    return DensityOperator((1.0 - source.p) * s1 + source.p * s0)
+    s1 = squeezed_photon(source.r, cutoff=cutoff)
+    s0 = squeezed_vacuum(source.r, cutoff=cutoff)
+    p = source.p
+    return DensityOperator((1.0 - p) * projector(s1).matrix + p * projector(s0).matrix,
+                           leakage=(1.0 - p) * s1.leakage + p * s0.leakage)
 
 
 def run_schedule(sched: Schedule, source: SourceModel,
@@ -259,20 +262,17 @@ def run_schedule(sched: Schedule, source: SourceModel,
 
     Entry 0 describes the prepared stage-0 input itself (probability 1,
     fidelity against the odd cat of amplitude alpha_i); entry k >= 1 the
-    output of stage k. Each stage feeds two copies of the previous
+    output of stage k. Stage 1 takes the prepared input as it is, a pure
+    state or a mixture, and each later stage two copies of the previous
     unit-trace output.
     """
     state = prepare_source(source, sched.alpha_i, cutoff=cutoff)
-    if isinstance(state, MultiModeState):
-        rho0, leak0 = projector(state), state.leakage
-    else:
-        rho0, leak0 = state, 0.0
-    results = [_judged(rho0, 1.0, CatSpec(sched.alpha_i, math.pi), leak0)]
-    current = rho0
+    rho0 = projector(state) if isinstance(state, MultiModeState) else state
+    results = [_judged(rho0, 1.0, CatSpec(sched.alpha_i, math.pi), rho0.leakage)]
     for stage in sched.stages:
-        res = amplify_once(current, current, stage)
+        res = amplify_once(state, state, stage)
         results.append(res)
-        current = res.output
+        state = res.output
     return results
 
 

@@ -26,11 +26,6 @@ import numpy as np
 
 from .fock import DEFAULT_CUTOFF, MultiModeState
 
-__all__ = [
-    "CatSpec", "fock_state", "coherent_state", "cat_state",
-    "squeezed_photon", "squeezed_vacuum",
-]
-
 # Input guard on user-supplied |r|; every optimal_squeezing r* lies at or
 # below r*(2.5) = 1.067, well inside it.
 MAX_SQUEEZE = 2.0
@@ -57,11 +52,6 @@ class CatSpec:
             raise ValueError(f"cat amplitude must be finite and >= 0, got {self.alpha}")
         if not math.isfinite(self.phi):
             raise ValueError("cat phase must be finite")
-
-    @property
-    def phi_mod(self) -> float:
-        """Relative phase reduced to [0, 2*pi) for comparisons."""
-        return self.phi % (2.0 * math.pi)
 
 
 def _phase_factor(phi: float) -> complex:
@@ -111,19 +101,15 @@ def coherent_state(alpha: complex, cutoff: int = DEFAULT_CUTOFF) -> MultiModeSta
     return MultiModeState(amp * (1.0 / math.sqrt(nsq)), leakage=deficit)
 
 
-def cat_state(spec: "CatSpec | float", phi: float = math.pi,
+def cat_state(alpha: float, phi: float = math.pi,
               cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
     """Normalized |alpha> + e^{i phi}|-alpha>.
 
-    Accepts either a CatSpec or (alpha, phi) floats. The normalization
-    is numerical, so the state has unit norm within the truncated basis
-    even where the closed-form factor would not.
+    The normalization is numerical, so the state has unit norm within
+    the truncated basis even where the closed-form factor would not.
     """
-    if isinstance(spec, CatSpec):
-        alpha, phi = spec.alpha, spec.phi
-    else:
-        alpha = float(spec)
-        CatSpec(alpha, phi)  # validate
+    alpha = float(alpha)
+    CatSpec(alpha, phi)  # validate
     ph = _phase_factor(phi)
     if alpha == 0.0 and ph == -1.0:
         raise ValueError("alpha = 0 with phi = pi names the null vector")

@@ -157,7 +157,8 @@ def _three_mode_branch(input_a, input_b, stage):
     rho = ref.stage(input_a.amplitudes, input_b.amplitudes, stage.mixing_angle,
                     stage.gamma, stage.eta)[ref.BOTH_CLICK]
     prob = float(np.trace(rho).real)
-    target = cat_state(stage.nominal_target, cutoff=input_a.cutoff).amplitudes
+    spec = stage.nominal_target
+    target = cat_state(spec.alpha, spec.phi, cutoff=input_a.cutoff).amplitudes
     return prob, float(np.vdot(target, rho @ target).real) / prob
 
 
@@ -261,7 +262,7 @@ def test_criterion_8_property_suites():
         if np.max(np.abs(total - np.eye(12))) > 1e-10:
             problems.append(f"POVM completeness off by "
                             f"{np.max(np.abs(total - np.eye(12))):.2e} at eta={eta}")
-        pi, _ = herald_operator(eta, 1.3, 12)
+        pi = herald_operator(eta, 1.3, 12)
         if np.max(np.abs(elements[ref.BOTH_CLICK] - pi)) > 1e-12:
             problems.append(f"herald operator off the circuit at eta={eta}")
 

@@ -51,7 +51,7 @@ def test_pattern_probabilities_sum_to_one(eta):
     # identity, and the both-click one is the stage's herald operator
     elements = ref.click_elements(eta, 1.3, 10, 40)
     assert np.max(np.abs(sum(elements.values()) - np.eye(10))) < 1e-10
-    pi, _ = herald_operator(eta, 1.3, 10)
+    pi = herald_operator(eta, 1.3, 10)
     assert np.max(np.abs(elements[ref.BOTH_CLICK] - pi)) <= 1e-12
 
 

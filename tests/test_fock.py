@@ -119,6 +119,9 @@ def test_fidelity_pure_requires_normalized_matching_shapes():
 def test_fidelity_mixed_projector_and_mixture():
     psi = coherent_state(0.7)
     assert np.isclose(fidelity_mixed(projector(psi), psi), 1.0, atol=1e-10)
+    # a projector keeps its state's truncation deficit
+    short = squeezed_photon(1.0)
+    assert short.leakage > 1e-4 and projector(short).leakage == short.leakage
     c = psi.cutoff
     assert np.isclose(fidelity_mixed(DensityOperator(np.eye(c) / c), psi), 1 / c, atol=1e-12)
     mix = DensityOperator(np.diag([0.6, 0.4] + [0.0] * (c - 2)))

@@ -362,6 +362,33 @@ def test_run_schedule_reproduces_reference_anchor():
     assert abs(res[-1].fidelity - 0.995) < 0.003
 
 
+def test_pure_source_feeds_the_first_stage_without_an_eigendecomposition(monkeypatch):
+    # only the outputs of stages 1 to n - 1 are decomposed, never the source
+    calls = []
+    branches = DensityOperator.eigenbranches
+
+    def spy(self):
+        calls.append(self)
+        return branches(self)
+
+    monkeypatch.setattr(DensityOperator, "eigenbranches", spy)
+    res = run_schedule(plan_schedule(2.0, 4), SourceModel("squeezed-photon"))
+    assert len(calls) == 3
+    assert all(rho is r.output for rho, r in zip(calls, res[1:4]))
+
+
+def test_schedules_report_their_source_truncation_at_the_first_stage():
+    # at r = 1.0 the squeezed states reach past cutoff 30; a mixed source
+    # carries the p-weighted mixture of the two states' deficits
+    l1, l0, p = squeezed_photon(1.0).leakage, squeezed_vacuum(1.0).leakage, 0.3
+    want = (1.0 - p) * l1 + p * l0
+    assert abs(want - 6.169e-4) < 1e-7 and abs(l1 - 8.553e-4) < 1e-7
+    mixed = run_schedule(plan_schedule(2.0, 4), SourceModel("mixed-photon", r=1.0, p=p))
+    assert [r.leakage_warning for r in mixed[:2]] == [want, want]
+    pure = run_schedule(plan_schedule(2.0, 4), SourceModel("squeezed-photon", r=1.0))
+    assert [r.leakage_warning for r in pure[:2]] == [l1, l1]
+
+
 def test_best_schedule_anchor_and_small_target():
     n_star, f_star = best_schedule(2.0, max_n=6)
     assert n_star == 4
