@@ -182,11 +182,11 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
 
     Applies U1 to (a, b) and keeps the bright port heralded by both
     detectors clicking, ``Tr_dump[(1 x Pi) U1 (a x b) U1^dag]`` with Pi
-    the ``herald_operator`` of the auxiliary |gamma> and detectors, as
-    its cached ``herald_root``. Reports the unit-trace output with its
-    success probability, fidelity against the nominal target cat, and
-    purity. Mixed inputs are propagated branch-pairwise, which is exact
-    for product inputs.
+    the ``herald_operator`` of the auxiliary |gamma> and detectors,
+    applied through its cached square root ``herald_root``. Reports the
+    unit-trace output with its success probability, fidelity against the
+    nominal target cat, and purity. Mixed inputs are propagated
+    branch-pairwise, which is exact for product inputs.
 
     The stage runs in its inputs' stored dtype: in float64 when both are
     real (cat phases 0 or pi, squeezed states, and the outputs of such
