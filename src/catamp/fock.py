@@ -119,14 +119,16 @@ class DensityOperator:
 
         Returns (weights, vectors, discarded) with weights descending,
         vectors as columns, and ``discarded`` the total weight dropped by
-        the ``EIGEN_FLOOR``. The vectors have the matrix's dtype.
+        the ``EIGEN_FLOOR``, its negative round-off clipped to 0. The
+        vectors have the matrix's dtype. ``eigh`` returns the spectrum
+        ascending, so reversing it by slicing puts the kept branches
+        first: weights and vectors are views of its result, not copies.
         """
         w, v = np.linalg.eigh(self.matrix)
-        order = np.argsort(w)[::-1]
-        w, v = w[order], v[:, order]
-        keep = w >= EIGEN_FLOOR
-        discarded = float(np.clip(w[~keep], 0.0, None).sum())
-        return w[keep], v[:, keep], discarded
+        w, v = w[::-1], v[:, ::-1]
+        kept = int(np.count_nonzero(w >= EIGEN_FLOOR))
+        discarded = float(np.clip(w[kept:], 0.0, None).sum())
+        return w[:kept], v[:, :kept], discarded
 
     def __repr__(self):
         return f"DensityOperator(cutoff={self.cutoff}, trace={self.trace_value:.6f})"

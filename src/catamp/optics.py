@@ -35,6 +35,10 @@ class _MixingBasis(NamedTuple):
     second: np.ndarray   # second-mode photon number of each row; cutoff on padding rows
     inverse: np.ndarray  # the row of each flat two-mode index (first mode slower)
     groups: tuple        # per group: its row slice, stacked V and eigenvalues
+    spans: tuple         # runs of whole groups of at most `scratch` rows: their row
+                         # slice, their second-mode numbers and, per group, its
+                         # index, rows within the run, rows and block stack shape
+    scratch: int         # max(c^2, widest group): the rows of _mix_pairs' result
 
 
 @lru_cache(maxsize=8)
@@ -47,7 +51,9 @@ def _mixing_basis(cutoff: int) -> _MixingBasis:
     Blocks above N = cutoff-1 are partial: only there does U1 deviate
     from the untruncated physics. Each V is padded with zeros to its
     group's width; groups are laid out by width, blocks by N, rows by k
-    with the padding rows last.
+    with the padding rows last. The groups are then joined into spans,
+    runs of consecutive groups no longer than ``scratch`` rows, the
+    larger of c^2 and the widest group.
     """
     c = cutoff
     totals = np.arange(2 * c - 1)
@@ -78,7 +84,19 @@ def _mixing_basis(cutoff: int) -> _MixingBasis:
     real = np.flatnonzero(first < c)
     inverse = np.empty(c * c, dtype=np.intp)
     inverse[first[real] * c + second[real]] = real
-    return _MixingBasis(first, second, inverse, tuple(groups))
+    scratch = max([c * c] + [rows.stop - rows.start for rows, _, _ in groups])
+    runs = []
+    for g, (rows, vecs, _) in enumerate(groups):
+        if not runs or rows.stop - runs[-1][0][1].start > scratch:
+            runs.append([])
+        runs[-1].append((g, rows, (vecs.shape[0], vecs.shape[1], -1)))
+    spans = []
+    for run in runs:
+        lo, hi = run[0][1].start, run[-1][1].stop
+        spans.append((slice(lo, hi), second[lo:hi],
+                      tuple((g, slice(rows.start - lo, rows.stop - lo), rows, shape)
+                            for g, rows, shape in run)))
+    return _MixingBasis(first, second, inverse, tuple(groups), tuple(spans), scratch)
 
 
 # One set of blocks at a time: every schedule runs at a single 50:50
@@ -105,42 +123,48 @@ def _beam_splitter_blocks(theta: float, cutoff: int) -> tuple[np.ndarray, ...]:
     return tuple(groups)
 
 
-def _apply_blocks(theta: float, cutoff: int, y: np.ndarray) -> np.ndarray:
-    """U1 of mixing angle ``theta`` on the rows of ``y``, returned as a new
-    array. The rows are two-mode amplitudes in the basis's grouped
-    layout, so one batched product mixes each group's contiguous rows,
-    written straight into the result rather than copied back. The blocks
-    are real: float64 rows stay float64, and complex rows are mixed as
-    their real and imaginary parts at once."""
-    out = np.empty(y.shape, dtype=y.dtype)
-    parts, mixed = y.view(np.float64), out.view(np.float64)
-    for (rows, _, _), b in zip(_mixing_basis(cutoff).groups,
-                               _beam_splitter_blocks(theta, cutoff)):
-        shape = (b.shape[0], b.shape[1], -1)
-        np.matmul(b, parts[rows].reshape(shape), out=mixed[rows].reshape(shape))
-    return out
-
-
 def _mix_pairs(theta: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """U1 of mixing angle ``theta`` on every product a_i (x) b_j of a
     column of ``a`` (the first mode's amplitudes, c x r_a) and one of
     ``b`` (the second mode's, c x r_b), returned as a c x c x (r_a r_b)
     array: first-mode index, second-mode index, then the pair with i
-    slower. The products are built straight in the grouped layout, a
-    padding row reading a zero appended to each column, and gathered
-    back to the mode grid once mixed; each step replaces the array, so
-    no two of its copies outlive one step."""
-    c = a.shape[0]
+    slower. The result has the dtype numpy gives a product of the two.
+
+    Every step is a long contiguous loop over whole rows of pairs, at any
+    rank. Row n of the first factor's table holds a[n] with each entry
+    repeated r_b times, row n of the second's b[n] tiled r_a times, and
+    row c of both is zero, the entry a padding row of the layout reads.
+    The first factors are taken into the grouped layout at once. Span by
+    span, the second factors are taken into the leading rows of the
+    result array and multiplied by the first factors there, and U1 mixes
+    each group of the span back over its own first-factor rows, which
+    are spent. Last, the mixed rows are gathered into the result. Besides
+    the result only one layout-sized array is made, where a product built
+    whole and mixed into a new array needs two.
+    """
+    c, ra, rb = a.shape[0], a.shape[1], b.shape[1]
     basis = _mixing_basis(c)
-    pairs = (_padded(a)[basis.first][:, :, None]
-             * _padded(b)[basis.second][:, None, :]).reshape(len(basis.first), -1)
-    pairs = _apply_blocks(theta, c, pairs)
-    return pairs[basis.inverse].reshape(c, c, -1)
-
-
-def _padded(v: np.ndarray) -> np.ndarray:
-    """The columns of ``v`` over one appended zero row, the entry that
-    the layout's padding rows read."""
-    out = np.zeros((v.shape[0] + 1, v.shape[1]), dtype=v.dtype)
-    out[:-1] = v
-    return out
+    blocks = _beam_splitter_blocks(theta, c)
+    dtype = np.result_type(a, b)
+    ta = np.zeros((c + 1, ra, rb), dtype=dtype)
+    ta[:c] = a[:, :, None]
+    mixed = np.take(ta.reshape(c + 1, -1), basis.first, axis=0)
+    del ta  # spent before the result array is made
+    tb = np.zeros((c + 1, ra, rb), dtype=dtype)
+    tb[:c] = b[:, None, :]
+    tb = tb.reshape(c + 1, -1)
+    out = np.empty((basis.scratch, ra * rb), dtype=dtype)
+    # U1 is real: complex rows are mixed as their real and imaginary parts
+    parts = mixed.view(np.float64)
+    for rows, second, members in basis.spans:
+        pairs = out[:rows.stop - rows.start]
+        # mode="clip" only spares the buffered copy that take makes for
+        # out= under mode="raise"; every index is in range
+        np.take(tb, second, axis=0, out=pairs, mode="clip")
+        np.multiply(mixed[rows], pairs, out=pairs)
+        scratch = pairs.view(np.float64)
+        for g, local, group, shape in members:
+            np.matmul(blocks[g], scratch[local].reshape(shape), out=parts[group].reshape(shape))
+    out = out[:c * c]
+    np.take(mixed, basis.inverse, axis=0, out=out, mode="clip")
+    return out.reshape(c, c, -1)

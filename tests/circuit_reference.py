@@ -15,7 +15,10 @@ Splitters are named by their mixing angle theta: reflectivity
 sin(theta), transmittivity cos(theta). Only ``coherent_state`` comes
 from catamp. ``apply_beam_splitter`` is no reference: it drives
 catamp's own U1 on flat two-mode amplitudes, for the tests that check
-it against this module.
+it against this module. Nor are ``apply_blocks`` and
+``mix_pairs_broadcast``: they are catamp's grouped U1 driven the plain
+way, one broadcast product of the pairs mixed into a new array, which
+``_mix_pairs`` must reproduce bit for bit.
 """
 
 import math
@@ -25,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from catamp import coherent_state
-from catamp.optics import _mix_pairs
+from catamp.optics import _beam_splitter_blocks, _mix_pairs, _mixing_basis
 
 FIFTY = math.pi / 4
 
@@ -75,6 +78,33 @@ def apply_beam_splitter(theta, x):
     if c == 0 or c * c != x.shape[0]:
         raise ValueError(f"expected c^2 rows of two-mode amplitudes, got shape {x.shape}")
     return _mix_pairs(theta, np.eye(c), np.eye(c)).reshape(c * c, c * c) @ x
+
+
+def apply_blocks(theta, cutoff, y):
+    """catamp's U1 blocks on the rows of ``y``, amplitudes in the grouped
+    layout of ``_mixing_basis(cutoff)``, returned as a new array; complex
+    rows are mixed as their real and imaginary parts."""
+    out = np.empty(y.shape, dtype=y.dtype)
+    parts, mixed = y.view(np.float64), out.view(np.float64)
+    for (rows, _, _), b in zip(_mixing_basis(cutoff).groups,
+                               _beam_splitter_blocks(theta, cutoff)):
+        shape = (b.shape[0], b.shape[1], -1)
+        np.matmul(b, parts[rows].reshape(shape), out=mixed[rows].reshape(shape))
+    return out
+
+
+def mix_pairs_broadcast(theta, a, b):
+    """``_mix_pairs`` as one broadcast product: the columns of ``a`` and
+    ``b`` over an appended zero row, gathered into the grouped layout and
+    multiplied pair by pair, mixed by ``apply_blocks`` and gathered back
+    to the c x c x (r_a r_b) mode grid."""
+    c = a.shape[0]
+    basis = _mixing_basis(c)
+    pa = np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])
+    pb = np.concatenate([b, np.zeros((1, b.shape[1]), dtype=b.dtype)])
+    pairs = (pa[basis.first][:, :, None] * pb[basis.second][:, None, :]).reshape(
+        len(basis.first), -1)
+    return apply_blocks(theta, c, pairs)[basis.inverse].reshape(c, c, -1)
 
 
 def apply_two_mode(u, psi, m1, m2):

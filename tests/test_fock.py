@@ -8,6 +8,7 @@ from catamp import (DensityOperator, MultiModeState, SourceModel, cat_state,
                     coherent_state, fidelity_mixed, fock_state, mixed_inputs,
                     plan_schedule, projector, run_schedule, squeezed_photon,
                     squeezed_vacuum)
+from catamp.fock import EIGEN_FLOOR
 from catamp.protocol import SOURCE_KINDS
 
 # The three-mode product states and partial traces below are the brute-force
@@ -160,6 +161,54 @@ def test_eigenbranches_of_a_real_matrix_are_real():
     w, v, _ = projector(twisted).eigenbranches()
     assert v.dtype == np.complex128
     assert abs(abs(np.vdot(v[:, 0], twisted.amplitudes)) - 1.0) < 1e-14
+
+
+def _argsort_branches(rho):
+    """Spectral branches as an explicit argsort orders them, descending."""
+    w, v = np.linalg.eigh(rho.matrix)
+    order = np.argsort(w)[::-1]
+    w, v = w[order], v[:, order]
+    keep = w >= EIGEN_FLOOR
+    return w[keep], v[:, keep], float(np.clip(w[~keep], 0.0, None).sum())
+
+
+def _stage_outputs():
+    """Every stage output of a mixed schedule whose input rank reaches 21."""
+    res = run_schedule(plan_schedule(2.5, 2), SourceModel("mixed-photon", p=0.15))
+    return [r.output for r in res[1:]]
+
+
+def test_eigenbranches_contract():
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    spectrum = np.array([0.4, 0.3, 0.2, 0.1 - 3e-11, 2e-11, 1e-11] + [0.0] * 6)
+    for rho in [DensityOperator((q * spectrum) @ q.T), *_stage_outputs()]:
+        w, v, discarded = rho.eigenbranches()
+        assert np.all(np.diff(w) <= 0.0) and w[-1] >= EIGEN_FLOOR
+        assert np.abs(rho.matrix @ v - v * w).max() < 1e-13
+        full = np.linalg.eigh(rho.matrix)[0]
+        below = full[full < EIGEN_FLOOR][::-1]
+        assert len(w) + len(below) == rho.cutoff
+        assert discarded == float(np.clip(below, 0.0, None).sum())
+
+
+def test_eigenbranches_match_the_argsort_order_on_stage_outputs():
+    for rho in _stage_outputs():
+        got, want = rho.eigenbranches(), _argsort_branches(rho)
+        assert len(got[0]) > 16  # past insertion-sort sizes
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+def test_eigenbranches_of_a_degenerate_spectrum_rebuild_the_matrix():
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    for spectrum in ([0.25] * 4 + [0.0] * 6, [0.3, 0.3, 0.2, 0.2] + [0.0] * 6):
+        for m in (np.diag(spectrum), (q * spectrum) @ q.T):
+            rho = DensityOperator(m)
+            w, v, discarded = rho.eigenbranches()
+            assert len(w) == 4 and discarded < 1e-15
+            assert np.abs((v * w) @ v.T - rho.matrix).max() < 1e-14
 
 
 def test_operations_are_deterministic():

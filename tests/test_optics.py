@@ -6,12 +6,12 @@ import pytest
 import circuit_reference as ref
 from catamp import (StageParams, cat_state, coherent_state, fock_state,
                     squeezed_photon)
-from catamp.optics import (_apply_blocks, _beam_splitter_blocks, _mix_pairs,
-                           _mixing_basis)
-from circuit_reference import apply_beam_splitter
+from catamp.optics import _beam_splitter_blocks, _mix_pairs, _mixing_basis
+from circuit_reference import apply_beam_splitter, apply_blocks
 
 # mixing angles: reflectivity sin(theta), transmittivity cos(theta)
 FIFTY = math.pi / 4
+THETAS = [0.3, math.pi / 4, 1.2]
 
 
 def _mix(theta, a, b):
@@ -71,9 +71,6 @@ def test_beam_splitter_block_structure_is_exact():
     assert np.all(off_block == 0.0)
 
 
-THETAS = [0.3, math.pi / 4, 1.2]
-
-
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 @pytest.mark.parametrize("theta", THETAS)
 def test_blocks_match_reference_expm_matrix(cutoff, theta):
@@ -101,6 +98,45 @@ def test_blocks_match_reference_expm_matrix(cutoff, theta):
     assert worst < 1e-11
 
 
+KINDS = {"real x real": (False, False), "complex x real": (True, False),
+         "real x complex": (False, True)}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 3), (3, 2), (5, 5), (11, 11)])
+@pytest.mark.parametrize("cutoff", [1, 2, 8, 30])
+def test_mix_pairs_reproduces_the_broadcast_product_bit_for_bit(cutoff, ranks, kind):
+    # the long-loop pair columns, spans and gather must not move a bit
+    # against one broadcast product mixed into a new array
+    rng = np.random.default_rng([cutoff, *ranks])
+    a, b = (rng.standard_normal((cutoff, r, 2)) @ ((1.0, 1j) if twist else (1.0, 0.0))
+            for r, twist in zip(ranks, KINDS[kind]))
+    for theta in THETAS:
+        got, want = _mix_pairs(theta, a, b), ref.mix_pairs_broadcast(theta, a, b)
+        assert got.dtype == want.dtype == np.result_type(a, b)
+        assert got.shape == (cutoff, cutoff, ranks[0] * ranks[1])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
+def test_spans_cover_the_layout_within_the_result(cutoff):
+    # consecutive runs of whole groups, each no longer than the result
+    # array whose leading rows hold a run's pairs while U1 mixes them
+    basis = _mixing_basis(cutoff)
+    assert basis.scratch == max([cutoff * cutoff] + [r.stop - r.start for r, _, _ in basis.groups])
+    seen, start = [], 0
+    for rows, second, members in basis.spans:
+        assert rows.start == start and rows.stop - rows.start <= basis.scratch
+        assert np.array_equal(second, basis.second[rows])
+        for g, local, group, shape in members:
+            vecs = basis.groups[g][1]
+            assert group == basis.groups[g][0] and shape == (*vecs.shape[:2], -1)
+            assert (local.start + rows.start, local.stop + rows.start) == (group.start, group.stop)
+            seen.append(g)
+        start = rows.stop
+    assert seen == list(range(len(basis.groups))) and start == len(basis.first)
+
+
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 def test_padding_rows_stay_zero(cutoff):
     basis = _mixing_basis(cutoff)
@@ -111,7 +147,7 @@ def test_padding_rows_stay_zero(cutoff):
     rows[~pad] = rng.standard_normal((cutoff * cutoff, 3, 2)) @ (1.0, 1j)
     for theta in THETAS:
         for y in (rows.real.copy(), rows):
-            assert np.all(_apply_blocks(theta, cutoff, y)[pad] == 0.0)
+            assert np.all(apply_blocks(theta, cutoff, y)[pad] == 0.0)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])

@@ -15,7 +15,6 @@ from catamp import (DegenerateProbabilityError, DensityOperator, MultiModeState,
                     success_probability)
 
 from catamp.cli import FIG3_GRID
-from catamp.optics import _apply_blocks
 
 PI = math.pi
 ROOT2 = math.sqrt(2.0)
@@ -176,13 +175,13 @@ def kernel_dtypes(monkeypatch):
     """The dtype of every pair array the stage kernel mixes."""
     seen = []
 
-    def spy(theta, cutoff, y):
-        out = _apply_blocks(theta, cutoff, y)
-        assert out.dtype == y.dtype
+    def spy(theta, a, b):
+        out = optics._mix_pairs(theta, a, b)
+        assert out.dtype == np.result_type(a, b)
         seen.append(out.dtype)
         return out
 
-    monkeypatch.setattr(optics, "_apply_blocks", spy)
+    monkeypatch.setattr(protocol, "_mix_pairs", spy)
     return seen
 
 
@@ -407,6 +406,42 @@ def test_best_schedule_rejects_negative_iteration_count():
     with pytest.raises(ValueError):
         best_schedule(1.0, max_n=-1)
     assert best_schedule(1.0, max_n=0)[0] == 0
+
+
+@pytest.mark.parametrize("max_n", [2.0, 2.5, "2"])
+def test_best_schedule_refuses_a_non_integer_iteration_count(max_n):
+    # as Schedule refuses a non-integer n_iterations, not a TypeError from range
+    with pytest.raises(ValueError, match="non-negative integer"):
+        best_schedule(1.0, max_n=max_n)
+
+
+def test_stage_fidelity_is_judged_against_the_cached_target_cat():
+    protocol._target_cat.cache_clear()
+    res = run_schedule(plan_schedule(2.0, 4), SourceModel("mixed-photon", p=0.2))
+    keys = set()
+    for r in res:
+        t, c = r.nominal_target, r.output.cutoff
+        assert r.fidelity == fidelity_mixed(r.output, cat_state(t.alpha, t.phi, cutoff=c))
+        cached = protocol._target_cat(t.alpha, t.phi, c)
+        assert cached is protocol._target_cat(t.alpha, t.phi, c)
+        assert not cached.amplitudes.flags.writeable
+        keys.add((t.alpha, t.phi, c))
+    assert protocol._target_cat.cache_info().currsize == len(keys) == len(res)
+    # cat_state itself stays uncached: every call builds a fresh state
+    t = res[-1].nominal_target
+    fresh = cat_state(t.alpha, t.phi)
+    assert fresh is not cat_state(t.alpha, t.phi)
+    assert fresh is not protocol._target_cat(t.alpha, t.phi, fresh.cutoff)
+
+
+def test_stage_target_cache_stays_within_its_size():
+    protocol._target_cat.cache_clear()
+    maxsize = protocol._target_cat.cache_info().maxsize
+    for k in range(maxsize + 40):
+        protocol._target_cat(0.5 + 0.01 * k, PI, 12)
+        assert protocol._target_cat.cache_info().currsize <= maxsize
+    assert protocol._target_cat.cache_info().currsize == maxsize
+    protocol._target_cat.cache_clear()
 
 
 def test_sources_validate():
