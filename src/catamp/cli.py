@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .detection import DegenerateProbabilityError
 from .fock import DEFAULT_CUTOFF, fidelity_mixed
-from .protocol import (SOURCE_KINDS, SourceModel, StageParams, amplify_once,
+from .protocol import (MAX_ALPHA, SOURCE_KINDS, SourceModel, StageParams, amplify_once,
                        best_schedule, mixed_inputs, optimal_squeezing,
                        plan_schedule, run_schedule, success_probability)
 from .states import cat_state
@@ -99,25 +99,22 @@ def _grid(start: float, stop: float, step: float) -> list:
     return [round(start + k * step, 10) for k in range(n + 1)]
 
 
-FIG2_GRID = _grid(0.05, 2.5, 0.05)
-FIG3_GRID = _grid(0.05, 2.5, 0.05)
-FIG4_GRID = _grid(0.5, 2.5, 0.1)
+ALPHA_GRID = _grid(0.05, MAX_ALPHA, 0.05)  # fig2 and fig3
+FIG4_GRID = _grid(0.5, MAX_ALPHA, 0.1)
 PURIFY_P = [0.4, 0.25, 0.05]
+PURIFY_ALPHA = 0.5
 
 
-def cmd_fig2(cfg: RunConfig, alpha_grid=None) -> Table:
+def cmd_fig2(cfg: RunConfig) -> Table:
     """Success probabilities along alpha: closed form and simulation.
 
     At unit efficiency the simulated columns track the closed form to
     3e-5 over the whole grid at the default cutoff.
     """
-    grid = FIG2_GRID if alpha_grid is None else list(alpha_grid)
-    if any(not 0.0 < a <= 2.5 for a in grid):
-        raise ConfigError("fig2 grid must lie within (0, 2.5]")
     phases = (("odd_odd", math.pi, math.pi), ("even_even", 0.0, 0.0),
               ("even_odd", 0.0, math.pi))
     rows = []
-    for a in grid:
+    for a in ALPHA_GRID:
         row = [a]
         row += [_unit(success_probability(a, a, pa, pb)) for _, pa, pb in phases]
         for _, pa, pb in phases:
@@ -131,27 +128,21 @@ def cmd_fig2(cfg: RunConfig, alpha_grid=None) -> Table:
     return Table({"command": "fig2", "cutoff": cfg.cutoff, "eta": cfg.eta}, cols, rows)
 
 
-def cmd_fig3(cfg: RunConfig, alpha_grid=None) -> Table:
+def cmd_fig3(cfg: RunConfig) -> Table:
     """Best squeezing and maximized odd-cat fidelity along alpha."""
-    grid = FIG3_GRID if alpha_grid is None else list(alpha_grid)
-    if any(not 0.0 < a <= 2.5 for a in grid):
-        raise ConfigError("fig3 grid must lie within (0, 2.5]")
     rows = []
-    for a in grid:
+    for a in ALPHA_GRID:
         r_star, f_max = optimal_squeezing(a)
         rows.append([a, r_star, _unit(f_max)])
     return Table({"command": "fig3", "cutoff": cfg.cutoff, "eta": cfg.eta},
                  ["alpha", "r_star", "f_max"], rows)
 
 
-def cmd_fig4(cfg: RunConfig, alpha_grid=None, max_n: int = 6) -> Table:
+def cmd_fig4(cfg: RunConfig, max_n: int = 6) -> Table:
     """Best iteration count and final fidelity along the target amplitude."""
-    grid = FIG4_GRID if alpha_grid is None else list(alpha_grid)
-    if any(not 0.0 < a <= 2.5 for a in grid):
-        raise ConfigError("fig4 grid must lie within (0, 2.5]")
     source = SourceModel("squeezed-photon")
     rows = []
-    for a in grid:
+    for a in FIG4_GRID:
         n_star, f_star = best_schedule(a, max_n=max_n, source=source, cutoff=cfg.cutoff)
         rows.append([a, n_star, _unit(f_star)])
     return Table({"command": "fig4", "cutoff": cfg.cutoff, "eta": cfg.eta,
@@ -159,7 +150,7 @@ def cmd_fig4(cfg: RunConfig, alpha_grid=None, max_n: int = 6) -> Table:
                  ["alpha_target", "n_star", "f_star"], rows)
 
 
-def cmd_purify(cfg: RunConfig, p_list=None, alpha_i: float = 0.5) -> Table:
+def cmd_purify(cfg: RunConfig) -> Table:
     """Fidelity before and after one iteration for imperfect photon sources.
 
     ``f_after`` is exact branch-pairwise propagation. The paper's table
@@ -168,17 +159,16 @@ def cmd_purify(cfg: RunConfig, p_list=None, alpha_i: float = 0.5) -> Table:
     branches as orthogonal to the target; at p = 0.4 that gives 0.8904,
     exact propagation 0.9062.
     """
-    ps = PURIFY_P if p_list is None else list(p_list)
-    r_star, _ = optimal_squeezing(alpha_i)
-    stage = StageParams.plan(alpha_i, alpha_i, math.pi, math.pi, eta=cfg.eta)
+    r_star, _ = optimal_squeezing(PURIFY_ALPHA)
+    stage = StageParams.plan(PURIFY_ALPHA, PURIFY_ALPHA, math.pi, math.pi, eta=cfg.eta)
     rows = []
-    for p in ps:
+    for p in PURIFY_P:
         rho = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=p), cutoff=cfg.cutoff)
-        f_init = fidelity_mixed(rho, cat_state(alpha_i, math.pi, cutoff=cfg.cutoff))
+        f_init = fidelity_mixed(rho, cat_state(PURIFY_ALPHA, math.pi, cutoff=cfg.cutoff))
         res = amplify_once(rho, rho, stage)
         rows.append([p, _unit(f_init), _unit(res.fidelity), _unit(res.probability)])
     return Table({"command": "purify", "cutoff": cfg.cutoff, "eta": cfg.eta,
-                  "alpha_i": alpha_i, "r": r_star},
+                  "alpha_i": PURIFY_ALPHA, "r": r_star},
                  ["p", "f_initial", "f_after", "probability"], rows)
 
 

@@ -18,11 +18,10 @@ import numpy as np
 
 DEFAULT_CUTOFF = 30
 
-# Numerical-hygiene tolerances.
-HERMITICITY_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-NORMALIZATION_TOL = 1e-8
+# Round-off allowed in a density operator's Hermiticity, positivity and trace.
+OPERATOR_TOL = 1e-10
+# Allowed |norm^2 - 1| of a pure input and |trace - 1| of a mixed one.
+UNIT_TOL = 1e-8
 
 # Truncation leakage above this is surfaced as a warning on results.
 LEAKAGE_WARN = 1e-6
@@ -70,7 +69,7 @@ class MultiModeState:
 
     @property
     def is_normalized(self) -> bool:
-        return abs(self.norm_sq - 1.0) <= NORMALIZATION_TOL
+        return abs(self.norm_sq - 1.0) <= UNIT_TOL
 
     def __repr__(self):
         return f"MultiModeState(cutoff={self.cutoff}, norm_sq={self.norm_sq:.6f})"
@@ -93,13 +92,13 @@ class DensityOperator:
         if not np.isfinite(m).all():
             raise ValueError("density operator entries must be finite")
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > HERMITICITY_TOL:
+        if dev > OPERATOR_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -POSITIVITY_TOL:
+        if smallest < -OPERATOR_TOL:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})")
         tr = float(np.trace(m).real)
-        if tr < 0.0 or tr > 1.0 + TRACE_TOL:
+        if tr < 0.0 or tr > 1.0 + OPERATOR_TOL:
             raise ValueError(f"trace {tr:.6e} outside [0, 1]")
         m.flags.writeable = False
         self.matrix = m

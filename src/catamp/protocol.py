@@ -22,12 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import PROBABILITY_FLOOR, DegenerateProbabilityError, herald_root
-from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator,
+from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, UNIT_TOL, DensityOperator,
                    MultiModeState, fidelity_mixed, projector)
 from .optics import _mix_pairs
 from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
 SOURCE_KINDS = ("ideal-cat", "squeezed-photon", "mixed-photon")
+# The largest amplitude validated at the default cutoff: optimizers and CLI grids stop here.
+MAX_ALPHA = 2.5
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def _input_branches(state, label: str):
             raise ValueError(f"{label} input must have unit norm")
         return np.array([1.0]), state.amplitudes[:, None], 0.0
     if isinstance(state, DensityOperator):
-        if abs(state.trace_value - 1.0) > 1e-8:
+        if abs(state.trace_value - 1.0) > UNIT_TOL:
             raise ValueError(f"{label} input must have unit trace")
         return state.eigenbranches()
     raise TypeError(f"{label} input must be a MultiModeState or DensityOperator")
@@ -297,20 +299,25 @@ def best_schedule(alpha_target: float, max_n: int = 6,
 
     For each n in [0, max_n] the stage-0 amplitude is alpha_target /
     sqrt(2)^n and the source squeezing is re-optimized for it (when the
-    source does not pin r). Returns (n_star, best final fidelity).
+    source does not pin r). Returns (n_star, best final fidelity), or
+    raises ValueError when any entry of that schedule carries a
+    ``leakage_warning``: the cutoff is then too small to trust it.
     """
-    if not 0.0 < alpha_target <= 2.5:
-        raise ValueError("target amplitude must lie in (0, 2.5], the validated regime")
+    if not 0.0 < alpha_target <= MAX_ALPHA:
+        raise ValueError(f"target amplitude must lie in (0, {MAX_ALPHA}], the validated regime")
     if not isinstance(max_n, numbers.Integral) or max_n < 0:
         raise ValueError(
             f"largest iteration count must be a non-negative integer, got {max_n!r}")
-    best = (-1, -1.0)
+    best = None
     for n in range(max_n + 1):
-        sched = plan_schedule(alpha_target, n)
-        fid = run_schedule(sched, source, cutoff=cutoff)[-1].fidelity
-        if fid > best[1]:
-            best = (n, fid)
-    return best
+        results = run_schedule(plan_schedule(alpha_target, n), source, cutoff=cutoff)
+        if best is None or results[-1].fidelity > best[-1].fidelity:
+            n_star, best = n, results
+    leak = max(r.leakage_warning or 0.0 for r in best)
+    if leak:
+        raise ValueError(f"best schedule for target {alpha_target}, n = {n_star}, warns of "
+                         f"leakage {leak:.3g} at cutoff {cutoff}; raise the cutoff")
+    return n_star, best[-1].fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +374,8 @@ def optimal_squeezing(alpha: float) -> tuple[float, float]:
     is the only stationary point and the global maximum. Returns
     (r_star, f_star).
     """
-    if not 0.0 < alpha <= 2.5:
-        raise ValueError("amplitude must lie in (0, 2.5], the validated regime")
+    if not 0.0 < alpha <= MAX_ALPHA:
+        raise ValueError(f"amplitude must lie in (0, {MAX_ALPHA}], the validated regime")
     asq = alpha * alpha
     r = math.atanh(2.0 * asq / (3.0 + math.sqrt(9.0 + 4.0 * asq * asq)))
     return r, squeezed_photon_cat_fidelity(r, alpha)

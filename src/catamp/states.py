@@ -27,7 +27,7 @@ import numpy as np
 from .fock import DEFAULT_CUTOFF, MultiModeState
 
 # Input guard on user-supplied |r|; every optimal_squeezing r* lies at or
-# below r*(2.5) = 1.067, well inside it.
+# below its value at the validated bound on alpha, 1.067, well inside it.
 MAX_SQUEEZE = 2.0
 
 # Beyond this |alpha| the vacuum weight exp(-|alpha|^2/2) underflows to 0,

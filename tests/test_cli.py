@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import catamp
+from catamp import cli
 from catamp.cli import (ConfigError, RunConfig, cmd_amplify, cmd_fig2,
                         cmd_fig3, cmd_fig4, cmd_purify, main, parse_config,
                         render_csv, render_json)
@@ -24,10 +25,10 @@ def test_run_config_validation():
         RunConfig(fmt="xml")
 
 
-def test_fig2_rows_cross_check_formula():
+def test_fig2_rows_cross_check_formula(monkeypatch):
     cfg = RunConfig()
-    grid = [2 ** -0.5, 1.0, 1.5]
-    table = cmd_fig2(cfg, alpha_grid=grid)
+    monkeypatch.setattr(cli, "ALPHA_GRID", [2 ** -0.5, 1.0, 1.5])
+    table = cmd_fig2(cfg)
     assert table.columns[:4] == ["alpha", "p_odd_odd", "p_even_even", "p_even_odd"]
     for row in table.rows:
         for formula, sim in zip(row[1:4], row[4:7]):
@@ -37,16 +38,18 @@ def test_fig2_rows_cross_check_formula():
     assert table.meta["cutoff"] == 30 and table.meta["eta"] == 1.0
 
 
-def test_fig3_quoted_rows():
-    table = cmd_fig3(RunConfig(), alpha_grid=[0.01, 0.5, 1.0])
+def test_fig3_quoted_rows(monkeypatch):
+    monkeypatch.setattr(cli, "ALPHA_GRID", [0.01, 0.5, 1.0])
+    table = cmd_fig3(RunConfig())
     rows = {round(r[0], 3): r for r in table.rows}
     assert rows[0.01][1] < 0.002 and rows[0.01][2] > 0.99999
     assert abs(rows[0.5][1] - 0.083) < 0.002 and abs(rows[0.5][2] - 0.99999) < 1e-5
     assert abs(rows[1.0][1] - 0.313) < 0.002 and abs(rows[1.0][2] - 0.997) < 1e-3
 
 
-def test_fig4_small_grid():
-    table = cmd_fig4(RunConfig(), alpha_grid=[0.8], max_n=2)
+def test_fig4_small_grid(monkeypatch):
+    monkeypatch.setattr(cli, "FIG4_GRID", [0.8])
+    table = cmd_fig4(RunConfig(), max_n=2)
     (alpha, n_star, f_star), = table.rows
     assert alpha == 0.8
     assert n_star in (1, 2)
@@ -98,8 +101,9 @@ def test_render_csv_format():
     assert "." in first[1]  # decimal-point numbers, 12 significant digits
 
 
-def test_render_json_roundtrip():
-    table = cmd_fig3(RunConfig(fmt="json"), alpha_grid=[0.5])
+def test_render_json_roundtrip(monkeypatch):
+    monkeypatch.setattr(cli, "ALPHA_GRID", [0.5])
+    table = cmd_fig3(RunConfig(fmt="json"))
     doc = json.loads(render_json(table))
     assert doc["columns"] == ["alpha", "r_star", "f_max"]
     assert doc["meta"]["cutoff"] == 30
@@ -157,6 +161,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["purify", "--config", str(bad)]) == 1
     # a negative iteration range and squeezing for an ideal cat are bad input
     assert main(["fig4", "--max-n", "-1"]) == 1
+    # from target 1.7 on, the winning schedule's input leaks past cutoff 8
+    assert main(["fig4", "--cutoff", "8"]) == 1
     assert main(["amplify", "--alpha-target", "1.0", "--source", "ideal-cat",
                  "--r", "0.3"]) == 1
     # eta = 0 kills every click: numerical degeneracy is exit code 2

@@ -1,9 +1,11 @@
 """The public API and the README stay in step."""
 
+import argparse
 import re
 from pathlib import Path
 
 import catamp
+from catamp import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +20,18 @@ def test_readme_python_quickstart_runs():
     section = text.split("## Python quickstart", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S)
     exec(compile(block.group(1), "README quickstart", "exec"), {})
+
+
+def test_readme_lists_the_parsers_subcommands_and_shared_flags():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    # a shared flag is one that every subcommand takes
+    flag_sets = [{opt for act in p._actions for opt in act.option_strings}
+                 for p in subparsers.choices.values()]
+    shared = set.intersection(*flag_sets) - {"-h", "--help"}
+    text = README.read_text().split("## Command line", 1)[1]
+    listed, flags = text.split("Shared flags:", 1)
+    listed = listed.split("Subcommands:", 1)[1]
+    flags = flags.split("\n\n", 1)[0]
+    assert set(re.findall(r"`([^`]+)`", listed)) == set(subparsers.choices)
+    assert {item.split()[0] for item in re.findall(r"`([^`]+)`", flags)} == shared

@@ -14,7 +14,7 @@ from catamp import (DegenerateProbabilityError, DensityOperator, MultiModeState,
                     squeezed_photon_cat_fidelity, squeezed_vacuum,
                     success_probability)
 
-from catamp.cli import FIG3_GRID
+from catamp.cli import ALPHA_GRID
 
 PI = math.pi
 ROOT2 = math.sqrt(2.0)
@@ -408,6 +408,14 @@ def test_best_schedule_rejects_negative_iteration_count():
     assert best_schedule(1.0, max_n=0)[0] == 0
 
 
+@pytest.mark.parametrize("cutoff, warning", [(3, "0.134"), (5, "0.0153")])
+def test_best_schedule_raises_when_its_winner_warns_of_leakage(cutoff, warning):
+    # at these cutoffs n = 0 wins while its input lost part of its norm:
+    # the fidelity it would return cannot be trusted
+    with pytest.raises(ValueError, match=f"n = 0, .* {warning} at cutoff {cutoff}"):
+        best_schedule(1.0, max_n=2, cutoff=cutoff)
+
+
 @pytest.mark.parametrize("max_n", [2.0, 2.5, "2"])
 def test_best_schedule_refuses_a_non_integer_iteration_count(max_n):
     # as Schedule refuses a non-integer n_iterations, not a TypeError from range
@@ -482,7 +490,7 @@ def test_closed_forms_survive_vanishing_amplitudes():
 
 def test_optimal_squeezing_is_the_global_maximum_on_the_fig3_grid():
     rs = np.linspace(0.0, 2.0, 20001)  # step 1e-4
-    for alpha in FIG3_GRID:
+    for alpha in ALPHA_GRID:
         r_star, f_star = optimal_squeezing(alpha)
         assert f_star == squeezed_photon_cat_fidelity(r_star, alpha)
         grid_max = max(squeezed_photon_cat_fidelity(r, alpha) for r in rs)
