@@ -11,8 +11,8 @@ from .fock import (DEFAULT_CUTOFF, DensityOperator, MultiModeState,
                    fidelity_mixed, projector)
 from .protocol import (IterationResult, Schedule, SourceModel, StageParams,
                        amplify_once, best_schedule, homodyne_error,
-                       mixed_inputs, optimal_squeezing, plan_schedule,
-                       prepare_source, run_schedule, success_probability,
+                       optimal_squeezing, plan_schedule, prepare_source,
+                       run_schedule, success_probability,
                        squeezed_photon_cat_fidelity)
 from .states import (CatSpec, cat_state, coherent_state, fock_state,
                      squeezed_photon, squeezed_vacuum)
@@ -27,6 +27,6 @@ __all__ = [
     "DegenerateProbabilityError",
     "StageParams", "IterationResult", "SourceModel", "Schedule",
     "plan_schedule", "prepare_source", "amplify_once", "run_schedule",
-    "best_schedule", "mixed_inputs", "success_probability",
+    "best_schedule", "success_probability",
     "squeezed_photon_cat_fidelity", "optimal_squeezing", "homodyne_error",
 ]

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .detection import DegenerateProbabilityError
 from .fock import DEFAULT_CUTOFF, fidelity_mixed
-from .protocol import (MAX_ALPHA, SOURCE_KINDS, SourceModel, StageParams, amplify_once,
-                       best_schedule, mixed_inputs, optimal_squeezing,
-                       plan_schedule, run_schedule, success_probability)
+from .protocol import (MAX_ALPHA, SOURCE_KINDS, Schedule, SourceModel, StageParams,
+                       amplify_once, best_schedule, optimal_squeezing, prepare_source,
+                       run_schedule, success_probability)
 from .states import cat_state
 
 
@@ -118,7 +118,7 @@ def cmd_fig2(cfg: RunConfig) -> Table:
         row = [a]
         row += [_unit(success_probability(a, a, pa, pb)) for _, pa, pb in phases]
         for _, pa, pb in phases:
-            stage = StageParams.plan(a, a, pa, pb, eta=cfg.eta)
+            stage = StageParams(a, a, pa, pb, cfg.eta)
             res = amplify_once(cat_state(a, pa, cutoff=cfg.cutoff),
                                cat_state(a, pb, cutoff=cfg.cutoff), stage)
             row.append(_unit(res.probability))
@@ -143,7 +143,8 @@ def cmd_fig4(cfg: RunConfig, max_n: int = 6) -> Table:
     source = SourceModel("squeezed-photon")
     rows = []
     for a in FIG4_GRID:
-        n_star, f_star = best_schedule(a, max_n=max_n, source=source, cutoff=cfg.cutoff)
+        n_star, f_star = best_schedule(a, max_n=max_n, source=source, cutoff=cfg.cutoff,
+                                       eta=cfg.eta)
         rows.append([a, n_star, _unit(f_star)])
     return Table({"command": "fig4", "cutoff": cfg.cutoff, "eta": cfg.eta,
                   "max_n": max_n},
@@ -160,10 +161,11 @@ def cmd_purify(cfg: RunConfig) -> Table:
     exact propagation 0.9062.
     """
     r_star, _ = optimal_squeezing(PURIFY_ALPHA)
-    stage = StageParams.plan(PURIFY_ALPHA, PURIFY_ALPHA, math.pi, math.pi, eta=cfg.eta)
+    stage = StageParams(PURIFY_ALPHA, PURIFY_ALPHA, math.pi, math.pi, cfg.eta)
     rows = []
     for p in PURIFY_P:
-        rho = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=p), cutoff=cfg.cutoff)
+        rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=p), PURIFY_ALPHA,
+                             cutoff=cfg.cutoff)
         f_init = fidelity_mixed(rho, cat_state(PURIFY_ALPHA, math.pi, cutoff=cfg.cutoff))
         res = amplify_once(rho, rho, stage)
         rows.append([p, _unit(f_init), _unit(res.fidelity), _unit(res.probability)])
@@ -180,7 +182,7 @@ def cmd_amplify(cfg: RunConfig, params: dict) -> Table:
     n = params.get("iterations", 0)
     kind = params.get("source", "squeezed-photon")
     source = SourceModel(kind, r=params.get("r"), p=params.get("p", 0.0))
-    sched = plan_schedule(alpha_target, n, eta=cfg.eta)
+    sched = Schedule(alpha_target, n, cfg.eta)
     results = run_schedule(sched, source, cutoff=cfg.cutoff)
     rows = []
     for k, res in enumerate(results):

@@ -2,9 +2,11 @@
 
 Single-mode pure state vectors and density operators, the projector
 |psi><psi| and the fidelity <psi|rho|psi>; a pure-state overlap is
-``fidelity_mixed(projector(phi), psi)``. Every value is immutable after
-construction and every operation is a pure function of its inputs, so
-instances can be shared freely across parameter-sweep workers.
+``fidelity_mixed(projector(phi), psi)``. A vector has unit norm and an
+operator unit trace from construction on, so no operation checks them
+again. Every value is immutable after construction and every operation
+is a pure function of its inputs, so instances can be shared freely
+across parameter-sweep workers.
 
 A state's dtype is decided once, when it is stored: float64 when no
 entry has a nonzero imaginary part, complex128 otherwise. Code that
@@ -18,9 +20,10 @@ import numpy as np
 
 DEFAULT_CUTOFF = 30
 
-# Round-off allowed in a density operator's Hermiticity, positivity and trace.
+# Round-off allowed in a density operator's Hermiticity, positivity and
+# trace above one.
 OPERATOR_TOL = 1e-10
-# Allowed |norm^2 - 1| of a pure input and |trace - 1| of a mixed one.
+# Allowed |norm^2 - 1| of a pure state and trace deficit of a mixed one.
 UNIT_TOL = 1e-8
 
 # Truncation leakage above this is surfaced as a warning on results.
@@ -42,19 +45,22 @@ def _stored(values) -> np.ndarray:
 class MultiModeState:
     """Pure state of one bosonic mode on a truncated Fock basis.
 
-    The amplitude vector is one-dimensional and read-only, float64 when
-    it is real and complex128 otherwise. ``leakage`` records the
-    squared-norm deficit a constructor absorbed when renormalizing a
-    truncated expansion; 0 for states that fit the cutoff exactly.
+    The amplitude vector is one-dimensional, of unit norm within
+    ``UNIT_TOL`` and read-only, float64 when it is real and complex128
+    otherwise. ``leakage`` records the squared-norm deficit a constructor
+    absorbed when renormalizing a truncated expansion; 0 for states that
+    fit the cutoff exactly.
     """
 
     def __init__(self, amplitudes, leakage: float = 0.0):
         arr = _stored(amplitudes)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError(f"amplitudes must be a non-empty vector, got shape {arr.shape}")
+        if arr.ndim != 1:
+            raise ValueError(f"amplitudes must be a vector, got shape {arr.shape}")
         nsq = float(np.vdot(arr, arr).real)
-        if not np.isfinite(nsq) or nsq <= 0.0:
-            raise ValueError("state vector must be finite and non-null")
+        # also refuses an empty or null vector and, as NaN compares false,
+        # a non-finite one
+        if not abs(nsq - 1.0) <= UNIT_TOL:
+            raise ValueError(f"state vector must have unit norm, got norm^2 {nsq:.6e}")
         arr.flags.writeable = False
         self.amplitudes = arr
         self.leakage = float(leakage)
@@ -63,26 +69,17 @@ class MultiModeState:
     def cutoff(self) -> int:
         return self.amplitudes.shape[0]
 
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm_sq - 1.0) <= UNIT_TOL
-
     def __repr__(self):
-        return f"MultiModeState(cutoff={self.cutoff}, norm_sq={self.norm_sq:.6f})"
+        return f"MultiModeState(cutoff={self.cutoff})"
 
 
 class DensityOperator:
     """Hermitian positive-semidefinite operator on one truncated mode.
 
-    An operator of trace below one carries a conditioning probability as
-    its trace; ``trace_value`` caches it. The matrix is read-only, float64
-    when it is real and complex128 otherwise. ``leakage`` records the
-    truncation deficit of the states it was built from, as on
-    ``MultiModeState``.
+    Its trace lies in [1 - ``UNIT_TOL``, 1 + ``OPERATOR_TOL``]. The matrix
+    is read-only, float64 when it is real and complex128 otherwise.
+    ``leakage`` records the truncation deficit of the states it was built
+    from, as on ``MultiModeState``.
     """
 
     def __init__(self, matrix, leakage: float = 0.0):
@@ -98,11 +95,10 @@ class DensityOperator:
         if smallest < -OPERATOR_TOL:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})")
         tr = float(np.trace(m).real)
-        if tr < 0.0 or tr > 1.0 + OPERATOR_TOL:
-            raise ValueError(f"trace {tr:.6e} outside [0, 1]")
+        if not 1.0 - UNIT_TOL <= tr <= 1.0 + OPERATOR_TOL:
+            raise ValueError(f"trace {tr:.6e} outside [1 - {UNIT_TOL:g}, 1 + {OPERATOR_TOL:g}]")
         m.flags.writeable = False
         self.matrix = m
-        self.trace_value = tr
         self.leakage = float(leakage)
 
     @property
@@ -130,7 +126,7 @@ class DensityOperator:
         return w[:kept], v[:, :kept], discarded
 
     def __repr__(self):
-        return f"DensityOperator(cutoff={self.cutoff}, trace={self.trace_value:.6f})"
+        return f"DensityOperator(cutoff={self.cutoff})"
 
 
 def projector(psi: MultiModeState) -> DensityOperator:
@@ -141,10 +137,8 @@ def projector(psi: MultiModeState) -> DensityOperator:
 
 
 def fidelity_mixed(rho: DensityOperator, psi: MultiModeState) -> float:
-    """<psi|rho|psi> against a unit-norm pure state."""
+    """<psi|rho|psi> against a pure state."""
     if rho.cutoff != psi.cutoff:
         raise ValueError(f"cutoff mismatch: {rho.cutoff} vs {psi.cutoff}")
-    if not psi.is_normalized:
-        raise ValueError("fidelity_mixed requires a unit-norm target state")
     v = psi.amplitudes
     return float(np.vdot(v, rho.matrix @ v).real)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .detection import PROBABILITY_FLOOR, DegenerateProbabilityError, herald_root
-from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, UNIT_TOL, DensityOperator,
-                   MultiModeState, fidelity_mixed, projector)
+from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator, MultiModeState,
+                   fidelity_mixed, projector)
 from .optics import _mix_pairs
 from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
@@ -65,7 +65,8 @@ class StageParams:
     @classmethod
     def plan(cls, alpha: float, beta: float, phi_a: float, phi_b: float,
              eta: float = 1.0) -> "StageParams":
-        """The stage for two inputs; the same as the constructor."""
+        """The stage for two inputs; the same as the constructor. It stays
+        because perfbench/workloads.py calls it."""
         return cls(alpha, beta, phi_a, phi_b, eta)
 
     @property
@@ -160,7 +161,9 @@ class Schedule:
 
 
 def plan_schedule(alpha_target: float, n_iterations: int, eta: float = 1.0) -> Schedule:
-    """Plan n stages of pairwise amplification toward ``alpha_target``."""
+    """Plan n stages of pairwise amplification toward ``alpha_target``;
+    the same as ``Schedule``. It stays because perfbench/workloads.py
+    calls it."""
     return Schedule(alpha_target, n_iterations, eta)
 
 
@@ -170,12 +173,8 @@ def _input_branches(state, label: str):
     Returns (weights, column vectors, discarded weight).
     """
     if isinstance(state, MultiModeState):
-        if not state.is_normalized:
-            raise ValueError(f"{label} input must have unit norm")
         return np.array([1.0]), state.amplitudes[:, None], 0.0
     if isinstance(state, DensityOperator):
-        if abs(state.trace_value - 1.0) > UNIT_TOL:
-            raise ValueError(f"{label} input must have unit trace")
         return state.eigenbranches()
     raise TypeError(f"{label} input must be a MultiModeState or DensityOperator")
 
@@ -248,26 +247,22 @@ def _judged(output: DensityOperator, probability: float, target: CatSpec,
 
 
 def prepare_source(source: SourceModel, alpha_i: float, cutoff: int = DEFAULT_CUTOFF):
-    """Materialize a source model at stage-0 amplitude ``alpha_i``."""
+    """Materialize a source model at stage-0 amplitude ``alpha_i``.
+
+    A mixed-photon source is the imperfect photon source's
+    (1-p)|S1><S1| + p|S0><S0|, with S1 the squeezed photon and S0 the
+    squeezed vacuum at the same r. Its leakage is the same mixture of the
+    two states' deficits.
+    """
     if source.kind == "ideal-cat":
         return cat_state(alpha_i, math.pi, cutoff=cutoff)
     r = source.r if source.r is not None else optimal_squeezing(alpha_i)[0]
+    s1 = squeezed_photon(r, cutoff=cutoff)
     if source.kind == "squeezed-photon":
-        return squeezed_photon(r, cutoff=cutoff)
-    return mixed_inputs(replace(source, r=r), cutoff=cutoff)
-
-
-def mixed_inputs(source: SourceModel, cutoff: int = DEFAULT_CUTOFF) -> DensityOperator:
-    """Imperfect-photon-source input: (1-p)|S1><S1| + p|S0><S0| with
-    S1 the squeezed photon and S0 the squeezed vacuum at the same r. Its
-    leakage is the same mixture of the two states' deficits."""
-    if source.kind != "mixed-photon":
-        raise ValueError("mixed_inputs expects a mixed-photon source")
-    if source.r is None:
-        raise ValueError("mixed_inputs needs an explicit squeezing parameter r")
-    s1 = squeezed_photon(source.r, cutoff=cutoff)
-    s0 = squeezed_vacuum(source.r, cutoff=cutoff)
+        return s1
+    s0 = squeezed_vacuum(r, cutoff=cutoff)
     p = source.p
+    # projectors kept: faster ops would raise analytic-sweep's op-count-bound RSS (ROADMAP item 4)
     return DensityOperator((1.0 - p) * projector(s1).matrix + p * projector(s0).matrix,
                            leakage=(1.0 - p) * s1.leakage + p * s0.leakage)
 
@@ -294,14 +289,15 @@ def run_schedule(sched: Schedule, source: SourceModel,
 
 def best_schedule(alpha_target: float, max_n: int = 6,
                   source: SourceModel = SourceModel("squeezed-photon"),
-                  cutoff: int = DEFAULT_CUTOFF) -> tuple[int, float]:
+                  cutoff: int = DEFAULT_CUTOFF, eta: float = 1.0) -> tuple[int, float]:
     """Pick the iteration count that maximizes the final fidelity.
 
     For each n in [0, max_n] the stage-0 amplitude is alpha_target /
     sqrt(2)^n and the source squeezing is re-optimized for it (when the
-    source does not pin r). Returns (n_star, best final fidelity), or
-    raises ValueError when any entry of that schedule carries a
-    ``leakage_warning``: the cutoff is then too small to trust it.
+    source does not pin r); every stage has detector efficiency ``eta``.
+    Returns (n_star, best final fidelity), or raises ValueError when any
+    entry of that schedule carries a ``leakage_warning``: the cutoff is
+    then too small to trust it.
     """
     if not 0.0 < alpha_target <= MAX_ALPHA:
         raise ValueError(f"target amplitude must lie in (0, {MAX_ALPHA}], the validated regime")
@@ -310,7 +306,7 @@ def best_schedule(alpha_target: float, max_n: int = 6,
             f"largest iteration count must be a non-negative integer, got {max_n!r}")
     best = None
     for n in range(max_n + 1):
-        results = run_schedule(plan_schedule(alpha_target, n), source, cutoff=cutoff)
+        results = run_schedule(Schedule(alpha_target, n, eta), source, cutoff=cutoff)
         if best is None or results[-1].fidelity > best[-1].fidelity:
             n_star, best = n, results
     leak = max(r.leakage_warning or 0.0 for r in best)

@@ -42,7 +42,7 @@ import numpy as np
 import circuit_reference as ref
 from catamp import (SourceModel, StageParams, amplify_once, best_schedule,
                     cat_state, coherent_state, fidelity_mixed, homodyne_error,
-                    mixed_inputs, optimal_squeezing, plan_schedule, projector,
+                    optimal_squeezing, plan_schedule, prepare_source, projector,
                     run_schedule, squeezed_photon, squeezed_vacuum,
                     success_probability)
 from catamp.cli import RunConfig, cmd_purify, render_csv
@@ -188,7 +188,7 @@ def test_criterion_5_purification_table():
     problems, measured = [], []
     for p, f0_want, f1_quoted, f1_tol in quoted:
         weight = {1: 1.0 - p, 0: p}
-        rho = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=p))
+        rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=p), 0.5)
         f0 = fidelity_mixed(rho, cat_state(0.5, PI))
         res = amplify_once(rho, rho, stage)
         _, f1_ideal = _recombine(kernel, weight, orthogonal=((1, 0), (0, 1)))

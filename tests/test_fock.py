@@ -5,20 +5,20 @@ import pytest
 
 import circuit_reference as ref
 from catamp import (DensityOperator, MultiModeState, SourceModel, cat_state,
-                    coherent_state, fidelity_mixed, fock_state, mixed_inputs,
-                    plan_schedule, projector, run_schedule, squeezed_photon,
+                    coherent_state, fidelity_mixed, fock_state, plan_schedule,
+                    prepare_source, projector, run_schedule, squeezed_photon,
                     squeezed_vacuum)
 from catamp.fock import EIGEN_FLOOR
 from catamp.protocol import SOURCE_KINDS
 
 # The three-mode product states and partial traces below are the brute-force
 # reference's; with dead detectors (eta = 0) its double no-click conditioning
-# is the plain partial trace onto mode 0.
+# is the plain partial trace onto mode 0. The partial traces stay plain
+# arrays, as a sub-normalized one is no DensityOperator.
 
 
 def _partial_trace(psi, keep):
-    psi = np.moveaxis(psi, keep, 0)
-    return DensityOperator(ref.condition(psi, (False, False), 0.0))
+    return ref.condition(np.moveaxis(psi, keep, 0), (False, False), 0.0)
 
 
 def test_tensor_vacuum_outer_product():
@@ -41,10 +41,11 @@ def test_tensor_coherent_pair_vacuum_amplitude():
 
 
 def test_tensor_norm_is_product_of_norms():
-    a = MultiModeState(0.9 * coherent_state(0.7).amplitudes)
-    b = MultiModeState(0.8 * coherent_state(0.3).amplitudes)
-    ab = ref.product(a.amplitudes, b.amplitudes)
-    assert np.isclose(np.vdot(ab, ab).real, a.norm_sq * b.norm_sq, atol=1e-12)
+    a = 0.9 * coherent_state(0.7).amplitudes
+    b = 0.8 * coherent_state(0.3).amplitudes
+    ab = ref.product(a, b)
+    assert np.isclose(np.vdot(ab, ab).real, np.vdot(a, a).real * np.vdot(b, b).real,
+                      atol=1e-12)
 
 
 def test_tensor_cutoff_mismatch_rejected():
@@ -59,8 +60,8 @@ def test_partial_trace_preserves_trace_and_hermiticity():
     psi = amp / np.linalg.norm(amp) * 0.9
     for keep in range(3):
         rho = _partial_trace(psi, keep)
-        assert abs(rho.trace_value - 0.81) < 1e-12
-        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert abs(np.trace(rho).real - 0.81) < 1e-12
+        assert np.array_equal(rho, rho.conj().T)
 
 
 def test_partial_trace_of_product_state_gives_projectors():
@@ -69,10 +70,11 @@ def test_partial_trace_of_product_state_gives_projectors():
     psi = ref.product(a.amplitudes, b.amplitudes, vac.amplitudes)
     rho_a = _partial_trace(psi, 0)
     rho_b = _partial_trace(psi, 1)
-    assert np.allclose(rho_a.matrix, projector(a).matrix, atol=1e-12)
-    assert np.allclose(rho_b.matrix, projector(b).matrix, atol=1e-12)
-    # purity equals ||psi||^4 for a (sub-normalized) product state
-    assert np.isclose(_partial_trace(0.9 * psi, 0).purity(), 0.81 ** 2, atol=1e-12)
+    assert np.allclose(rho_a, projector(a).matrix, atol=1e-12)
+    assert np.allclose(rho_b, projector(b).matrix, atol=1e-12)
+    # purity tr(rho^2) equals ||psi||^4 for a (sub-normalized) product state
+    assert np.isclose(np.sum(np.abs(_partial_trace(0.9 * psi, 0)) ** 2), 0.81 ** 2,
+                      atol=1e-12)
 
 
 def test_partial_trace_bell_like_is_maximally_mixed():
@@ -81,7 +83,7 @@ def test_partial_trace_bell_like_is_maximally_mixed():
     rho = _partial_trace(amp, 0)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[1, 1] = 0.5
-    assert np.allclose(rho.matrix, expected, atol=1e-12)
+    assert np.allclose(rho, expected, atol=1e-12)
 
 
 # The pure-state fidelity |<psi|phi>|^2 is fidelity_mixed(projector(psi), phi).
@@ -113,8 +115,9 @@ def test_fidelity_pure_symmetric_and_phase_invariant():
 def test_fidelity_pure_requires_normalized_matching_shapes():
     with pytest.raises(ValueError):
         _fidelity_pure(fock_state(0, 8), fock_state(0, 10))
-    with pytest.raises(ValueError):
-        _fidelity_pure(fock_state(0), MultiModeState(0.5 * fock_state(0).amplitudes))
+    # an unnormalized target is refused where it would be built
+    with pytest.raises(ValueError, match="unit norm"):
+        MultiModeState(0.5 * fock_state(0).amplitudes)
 
 
 def test_fidelity_mixed_projector_and_mixture():
@@ -148,6 +151,21 @@ def test_density_operator_validation():
     for empty in (np.zeros((0, 0)), np.zeros((0, 3))):
         with pytest.raises(ValueError, match="non-empty"):
             DensityOperator(empty)
+
+
+def test_states_have_unit_norm_and_trace_from_construction():
+    e0 = fock_state(0, 4).amplitudes
+    for nsq in (1.0 - 2e-8, 1.0 + 2e-8, np.nan):
+        with pytest.raises(ValueError, match="unit norm"):
+            MultiModeState(math.sqrt(nsq) * e0)
+    for nsq in (1.0 - 5e-9, 1.0 + 5e-9):
+        MultiModeState(math.sqrt(nsq) * e0)
+    # the trace may fall short of one by UNIT_TOL but pass it only by OPERATOR_TOL
+    for tr in (1.0 - 2e-8, 1.0 + 2e-10):
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(np.diag([tr, 0.0, 0.0]))
+    for tr in (1.0 - 5e-11, 1.0 + 5e-11):
+        assert np.trace(DensityOperator(np.diag([tr, 0.0, 0.0])).matrix) == tr
 
 
 def test_eigenbranches_of_a_real_matrix_are_real():
@@ -245,7 +263,8 @@ def test_real_parameters_give_float64_states_and_stage_outputs():
     for state in (fock_state(1), squeezed_photon(0.3), squeezed_vacuum(0.3),
                   cat_state(0.8, 0.0), cat_state(0.8, math.pi), coherent_state(0.5)):
         assert state.amplitudes.dtype == np.float64
-    assert mixed_inputs(SourceModel("mixed-photon", r=0.3, p=0.2)).matrix.dtype == np.float64
+    mixed = prepare_source(SourceModel("mixed-photon", r=0.3, p=0.2), 0.5)
+    assert mixed.matrix.dtype == np.float64
     for kind in SOURCE_KINDS:
         source = SourceModel(kind, p=0.2 if kind == "mixed-photon" else 0.0)
         for res in run_schedule(plan_schedule(2.0, 3, eta=0.8), source):

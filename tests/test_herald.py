@@ -9,7 +9,7 @@ import pytest
 import catamp.protocol
 import circuit_reference as ref
 from catamp import (DegenerateProbabilityError, SourceModel, StageParams,
-                    amplify_once, cat_state, mixed_inputs, optimal_squeezing,
+                    amplify_once, cat_state, optimal_squeezing, prepare_source,
                     projector)
 from catamp.detection import herald_operator, herald_root
 
@@ -79,8 +79,8 @@ def test_kernel_with_truncated_herald_reproduces_three_mode_route(case, monkeypa
     else:
         stage = StageParams.plan(0.5, 0.5, PI, PI, eta=0.8)
         r_star, _ = optimal_squeezing(0.5)
-        rho_a = rho_b = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=0.25),
-                                     cutoff=cutoff)
+        rho_a = rho_b = prepare_source(SourceModel("mixed-photon", r=r_star, p=0.25), 0.5,
+                                       cutoff=cutoff)
     want = _three_mode_stage(rho_a, rho_b, stage)
     exact = amplify_once(rho_a, rho_b, stage)
     # the both-click element as the 3-mode route sees it: auxiliary and

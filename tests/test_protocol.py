@@ -8,7 +8,7 @@ from scipy import integrate
 from catamp import optics, protocol
 from catamp import (DegenerateProbabilityError, DensityOperator, MultiModeState, Schedule,
                     SourceModel, StageParams, amplify_once, best_schedule, cat_state,
-                    fidelity_mixed, fock_state, homodyne_error, mixed_inputs,
+                    fidelity_mixed, fock_state, homodyne_error,
                     optimal_squeezing, plan_schedule, prepare_source,
                     projector, run_schedule, squeezed_photon,
                     squeezed_photon_cat_fidelity, squeezed_vacuum,
@@ -203,7 +203,7 @@ def test_real_and_complex_kernels_agree_on_pure_cats(alpha, beta, eta, kernel_dt
 
 
 def test_real_and_complex_kernels_agree_on_mixed_inputs(monkeypatch, kernel_dtypes):
-    rho = mixed_inputs(SourceModel("mixed-photon", r=0.3, p=0.3))
+    rho = prepare_source(SourceModel("mixed-photon", r=0.3, p=0.3), 0.6)
     stage = StageParams.plan(0.6, 0.6, PI, PI, eta=0.8)
     real = amplify_once(rho, rho, stage)
     branches = DensityOperator.eigenbranches
@@ -238,17 +238,17 @@ def test_amplify_once_rejects_bad_inputs():
     short = cat_state(0.5, PI, cutoff=20)
     with pytest.raises(ValueError):
         amplify_once(cat_state(0.5, PI, cutoff=30), short, stage)
-    sub = DensityOperator(0.5 * projector(cat_state(0.5, PI)).matrix)
-    with pytest.raises(ValueError):
-        amplify_once(sub, sub, stage)
+    # a half-trace input is refused where it would be built
+    with pytest.raises(ValueError, match="trace"):
+        DensityOperator(0.5 * projector(cat_state(0.5, PI)).matrix)
 
 
 def test_mixed_inputs_structure():
     r_star, _ = optimal_squeezing(0.5)
-    pure = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=0.0))
+    pure = prepare_source(SourceModel("mixed-photon", r=r_star, p=0.0), 0.5)
     assert np.allclose(pure.matrix, projector(squeezed_photon(r_star)).matrix, atol=1e-14)
-    rho = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=0.3))
-    assert abs(rho.trace_value - 1.0) < 1e-12
+    rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=0.3), 0.5)
+    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
     w, _, _ = rho.eigenbranches()
     assert len(w) == 2
     assert np.allclose(sorted(w), [0.3, 0.7], atol=1e-12)
@@ -257,15 +257,27 @@ def test_mixed_inputs_structure():
 @pytest.mark.parametrize("p,f_init", [(0.4, 0.60), (0.25, 0.750), (0.05, 0.950)])
 def test_mixed_input_fidelity_against_small_cat(p, f_init):
     r_star, _ = optimal_squeezing(0.5)
-    rho = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=p))
+    rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=p), 0.5)
     f = fidelity_mixed(rho, cat_state(0.5, PI))
     assert abs(f - f_init) < 0.01
+
+
+def test_mixed_source_is_the_weighted_sum_of_two_projectors():
+    for source, alpha_i in ((SourceModel("mixed-photon", r=0.3, p=0.2), 0.5),
+                            (SourceModel("mixed-photon", r=1.0, p=0.3), 0.5),
+                            (SourceModel("mixed-photon", p=0.25), 0.7)):
+        r = source.r if source.r is not None else optimal_squeezing(alpha_i)[0]
+        s1, s0, p = squeezed_photon(r), squeezed_vacuum(r), source.p
+        rho = prepare_source(source, alpha_i)
+        assert np.array_equal(rho.matrix,
+                              (1.0 - p) * projector(s1).matrix + p * projector(s0).matrix)
+        assert rho.leakage == (1.0 - p) * s1.leakage + p * s0.leakage
 
 
 @pytest.mark.parametrize("p", [0.05, 0.25, 0.4])
 def test_purification_raises_fidelity(p):
     r_star, _ = optimal_squeezing(0.5)
-    rho = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=p))
+    rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=p), 0.5)
     f_init = fidelity_mixed(rho, cat_state(0.5, PI))
     stage = StageParams.plan(0.5, 0.5, PI, PI)
     res = amplify_once(rho, rho, stage)
@@ -279,7 +291,7 @@ def test_purification_exact_propagation_values():
     r_star, _ = optimal_squeezing(0.5)
     stage = StageParams.plan(0.5, 0.5, PI, PI)
     for p, f_after in expected.items():
-        rho = mixed_inputs(SourceModel("mixed-photon", r=r_star, p=p))
+        rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=p), 0.5)
         res = amplify_once(rho, rho, stage)
         assert abs(res.fidelity - f_after) < 5e-4
 
@@ -401,6 +413,14 @@ def test_best_schedule_anchor_and_small_target():
         best_schedule(3.0)
 
 
+def test_best_schedule_fidelity_falls_with_detector_efficiency():
+    best = {eta: best_schedule(2.5, eta=eta) for eta in (1.0, 0.6, 0.3)}
+    assert best[1.0] == best_schedule(2.5)
+    assert best[1.0][1] > best[0.6][1] > best[0.3][1]
+    with pytest.raises(ValueError, match="efficiency"):
+        best_schedule(2.5, eta=1.5)
+
+
 def test_best_schedule_rejects_negative_iteration_count():
     # the (-1, -1.0) sentinel must never come back as a schedule
     with pytest.raises(ValueError):
@@ -459,8 +479,6 @@ def test_sources_validate():
         SourceModel("squeezed-photon", p=0.2)
     with pytest.raises(ValueError):
         SourceModel("mixed-photon", p=1.0)
-    with pytest.raises(ValueError):
-        mixed_inputs(SourceModel("mixed-photon", p=0.2))  # r unresolved
     with pytest.raises(ValueError):
         SourceModel("ideal-cat", r=0.3)  # an ideal cat has no squeezing
     assert isinstance(prepare_source(SourceModel("mixed-photon", p=0.2), 0.5),

@@ -31,7 +31,7 @@ def test_coherent_state_vacuum_and_ground_amplitude():
 def test_coherent_state_leakage_small_at_regime_edge():
     psi = coherent_state(2.5, 30)
     assert psi.leakage < 1e-10
-    assert np.isclose(psi.norm_sq, 1.0, atol=1e-12)
+    assert np.isclose(np.vdot(psi.amplitudes, psi.amplitudes).real, 1.0, atol=1e-12)
 
 
 def test_cat_state_parity_zeros_are_exact():

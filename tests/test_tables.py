@@ -25,6 +25,7 @@ RUNS = {
     "fig2_eta06": ["fig2", "--eta", "0.6"],
     "fig3": ["fig3"],
     "fig4": ["fig4"],
+    "fig4_eta06": ["fig4", "--eta", "0.6"],
     "purify": ["purify"],
     "amplify": ["amplify", "--alpha-target", "2.0", "--iterations", "4"],
     "amplify_mixed": ["amplify", "--alpha-target", "2.0", "--iterations", "4",
