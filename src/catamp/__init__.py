@@ -14,16 +14,14 @@ from .protocol import (IterationResult, Schedule, SourceModel, StageParams,
                        optimal_squeezing, plan_schedule, prepare_source,
                        run_schedule, success_probability,
                        squeezed_photon_cat_fidelity)
-from .states import (CatSpec, cat_state, coherent_state, fock_state,
-                     squeezed_photon, squeezed_vacuum)
+from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_CUTOFF", "MultiModeState", "DensityOperator", "projector",
     "fidelity_mixed",
-    "CatSpec", "fock_state", "coherent_state", "cat_state",
-    "squeezed_photon", "squeezed_vacuum",
+    "CatSpec", "cat_state", "squeezed_photon", "squeezed_vacuum",
     "DegenerateProbabilityError",
     "StageParams", "IterationResult", "SourceModel", "Schedule",
     "plan_schedule", "prepare_source", "amplify_once", "run_schedule",

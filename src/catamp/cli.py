@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .detection import DegenerateProbabilityError
 from .fock import DEFAULT_CUTOFF, fidelity_mixed
@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 class RunConfig:
     cutoff: int = DEFAULT_CUTOFF
     eta: float = 1.0
-    fmt: str = "csv"
+    format: str = "csv"
     out: str | None = None
 
     # a full-rank complex mixed input makes a c^2 x c^2 complex128 array
@@ -45,8 +45,8 @@ class RunConfig:
             raise ConfigError(f"cutoff must lie in [8, {self.MAX_CUTOFF}], got {self.cutoff}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
 
 
 @dataclass
@@ -83,7 +83,7 @@ def render_json(table: Table) -> str:
 
 
 def _emit(table: Table, cfg: RunConfig) -> None:
-    text = render_csv(table) if cfg.fmt == "csv" else render_json(table)
+    text = render_csv(table) if cfg.format == "csv" else render_json(table)
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -188,7 +188,7 @@ def cmd_amplify(cfg: RunConfig, params: dict) -> Table:
     for k, res in enumerate(results):
         rows.append([k, res.nominal_target.alpha, res.nominal_target.phi,
                      _unit(res.fidelity), _unit(res.probability), _unit(res.purity),
-                     res.leakage_warning if res.leakage_warning is not None else 0.0])
+                     res.leakage_warning])
     meta = {"command": "amplify", "cutoff": cfg.cutoff, "eta": cfg.eta,
             "alpha_target": alpha_target, "iterations": n, "source": kind,
             "alpha_i": sched.alpha_i}
@@ -204,21 +204,16 @@ def cmd_amplify(cfg: RunConfig, params: dict) -> Table:
 # Config file and argument handling.
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "cutoff": int,
-    "eta": float,
-    "format": str,
-    "out": str,
-    "alpha_target": float,
-    "iterations": int,
-    "source": str,
-    "r": float,
-    "p": float,
-}
-
-
 def parse_config(path: str) -> dict:
-    """Flat key = value file; unknown keys are errors, not warnings."""
+    """Flat key = value file; unknown keys are errors, not warnings.
+
+    The keys are the ``amplify`` subcommand's flags, ``--config`` aside,
+    spelled with ``_``; each value is cast and checked as its flag is.
+    """
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {act.dest: act for act in subparsers.choices["amplify"]._actions
+             if act.option_strings and act.dest not in ("help", "config")}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -233,15 +228,16 @@ def parse_config(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        flag = flags.get(key)
+        if flag is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
         try:
-            values[key] = caster(val)
+            values[key] = (flag.type or str)(val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
-    if "source" in values and values["source"] not in SOURCE_KINDS:
-        raise ConfigError(f"{path}: source must be one of {SOURCE_KINDS}")
+        if flag.choices is not None and values[key] not in flag.choices:
+            raise ConfigError(f"{path}:{lineno}: {key} must be one of "
+                              f"{tuple(flag.choices)}, got {val!r}")
     return values
 
 
@@ -253,14 +249,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cutoff", type=int, default=None,
+    common.add_argument("--cutoff", type=int,
                         help=f"Fock cutoff per mode (default {DEFAULT_CUTOFF})")
-    common.add_argument("--eta", type=float, default=None,
-                        help="detector quantum efficiency (default 1.0)")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default csv)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--config", default=None, help="flat key=value config file")
+    common.add_argument("--eta", type=float, help="detector quantum efficiency (default 1.0)")
+    common.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--config", help="flat key=value config file")
 
     parser = _Parser(prog="catamp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -274,11 +268,11 @@ def _build_parser() -> _Parser:
     p4.add_argument("--max-n", type=int, default=6, help="largest iteration count tried")
     pa = sub.add_parser("amplify", parents=[common],
                         help="run one schedule from a config file")
-    pa.add_argument("--alpha-target", type=float, default=None)
-    pa.add_argument("--iterations", type=int, default=None)
-    pa.add_argument("--source", choices=SOURCE_KINDS, default=None)
-    pa.add_argument("--r", type=float, default=None)
-    pa.add_argument("--p", type=float, default=None)
+    pa.add_argument("--alpha-target", type=float)
+    pa.add_argument("--iterations", type=int)
+    pa.add_argument("--source", choices=SOURCE_KINDS)
+    pa.add_argument("--r", type=float)
+    pa.add_argument("--p", type=float)
     sub.add_parser("purify", parents=[common],
                    help="purification table for imperfect photon sources")
     return parser
@@ -291,8 +285,7 @@ def main(argv=None) -> int:
         # the config file's values, each overridden by a flag that is given
         opts = parse_config(args.config) if args.config else {}
         opts.update((k, v) for k, v in vars(args).items() if v is not None)
-        cfg = RunConfig(cutoff=opts.get("cutoff", DEFAULT_CUTOFF), eta=opts.get("eta", 1.0),
-                        fmt=opts.get("format", "csv"), out=opts.get("out"))
+        cfg = RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig) if f.name in opts})
         commands = {"fig2": cmd_fig2, "fig3": cmd_fig3, "purify": cmd_purify,
                     "fig4": lambda cfg: cmd_fig4(cfg, max_n=opts["max_n"]),
                     "amplify": lambda cfg: cmd_amplify(cfg, opts)}

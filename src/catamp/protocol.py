@@ -95,7 +95,7 @@ class IterationResult:
     nominal_target: CatSpec
     fidelity: float
     purity: float
-    leakage_warning: float | None = None
+    leakage_warning: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,11 @@ def _target_cat(alpha: float, phi: float, cutoff: int) -> MultiModeState:
 def _judged(output: DensityOperator, probability: float, target: CatSpec,
             leak: float) -> IterationResult:
     """``output`` with its fidelity against the ``target`` cat, its purity
-    and ``leak`` as a warning when it passes ``LEAKAGE_WARN``. The target
-    is the shared ``cat_state(target.alpha, target.phi, cutoff)`` that
-    ``_target_cat`` builds once, so a schedule rerun or a sweep that
-    revisits a target does not expand its coherent states again."""
+    and ``leak`` as a warning when it passes ``LEAKAGE_WARN``, else 0.0.
+    The target is the shared ``cat_state(target.alpha, target.phi,
+    cutoff)`` that ``_target_cat`` builds once, so a schedule rerun or a
+    sweep that revisits a target does not expand its coherent states
+    again."""
     target_cat = _target_cat(target.alpha, target.phi, output.cutoff)
     return IterationResult(
         output=output,
@@ -242,7 +243,7 @@ def _judged(output: DensityOperator, probability: float, target: CatSpec,
         nominal_target=target,
         fidelity=fidelity_mixed(output, target_cat),
         purity=output.purity(),
-        leakage_warning=leak if leak > LEAKAGE_WARN else None,
+        leakage_warning=leak if leak > LEAKAGE_WARN else 0.0,
     )
 
 
@@ -296,8 +297,8 @@ def best_schedule(alpha_target: float, max_n: int = 6,
     sqrt(2)^n and the source squeezing is re-optimized for it (when the
     source does not pin r); every stage has detector efficiency ``eta``.
     Returns (n_star, best final fidelity), or raises ValueError when any
-    entry of that schedule carries a ``leakage_warning``: the cutoff is
-    then too small to trust it.
+    entry of that schedule carries a nonzero ``leakage_warning``: the
+    cutoff is then too small to trust it.
     """
     if not 0.0 < alpha_target <= MAX_ALPHA:
         raise ValueError(f"target amplitude must lie in (0, {MAX_ALPHA}], the validated regime")
@@ -309,7 +310,7 @@ def best_schedule(alpha_target: float, max_n: int = 6,
         results = run_schedule(Schedule(alpha_target, n, eta), source, cutoff=cutoff)
         if best is None or results[-1].fidelity > best[-1].fidelity:
             n_star, best = n, results
-    leak = max(r.leakage_warning or 0.0 for r in best)
+    leak = max(r.leakage_warning for r in best)
     if leak:
         raise ValueError(f"best schedule for target {alpha_target}, n = {n_star}, warns of "
                          f"leakage {leak:.3g} at cutoff {cutoff}; raise the cutoff")

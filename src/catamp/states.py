@@ -1,14 +1,14 @@
 """Constructors for the states the amplification protocol consumes.
 
-Fock states, coherent states, cat states (superpositions of two opposite
-coherent amplitudes), squeezed vacuum and the squeezed single photon.
-All constructors renormalize within the truncated basis and record the
-squared-norm deficit they absorbed as ``state.leakage``. They check the
-cutoff and the amplitude before any arithmetic, and build real
-amplitudes in float64; only a complex coherent amplitude or a cat phase
-other than 0 or pi makes a complex state. Divisions by a real number are
-multiplications by its reciprocal, which is how numpy divides complex128
-by a real, so a real amplitude has the same digits in either dtype.
+Cat states (superpositions of two opposite coherent amplitudes),
+squeezed vacuum and the squeezed single photon. All constructors
+renormalize within the truncated basis and record the squared-norm
+deficit they absorbed as ``state.leakage``. They check the cutoff and
+the amplitude before any arithmetic, and build real amplitudes in
+float64; only a cat phase other than 0 or pi makes a complex state.
+Divisions by a real number are multiplications by its reciprocal, which
+is how numpy divides complex128 by a real, so a real amplitude has the
+same digits in either dtype.
 
 The squeeze convention is exp(-(r/2)(a^2 - adag^2)), which for r > 0
 stretches a single photon into positive odd-photon-number coefficients;
@@ -18,7 +18,6 @@ are its closed-form series, exact on the kept basis.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -69,36 +68,16 @@ def _check_level(n: int, cutoff: int) -> None:
         raise ValueError(f"photon number {n} outside truncated basis [0, {cutoff})")
 
 
-def fock_state(n: int, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
-    """Number state |n>."""
-    _check_level(n, cutoff)
-    amp = np.zeros(cutoff)
-    amp[n] = 1.0
-    return MultiModeState(amp)
-
-
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+def _coherent_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
     # c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), by stable recurrence
     _check_level(0, cutoff)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     if abs(alpha) > _NULL_COHERENT:
         raise ValueError(f"coherent amplitude {alpha} underflows to the null vector")
-    amp = np.zeros(cutoff, dtype=np.result_type(alpha, np.float64))
+    amp = np.zeros(cutoff)
     amp[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, cutoff):
         amp[n] = amp[n - 1] * alpha * (1.0 / math.sqrt(n))
     return amp
-
-
-def coherent_state(alpha: complex, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
-    """Coherent state |alpha>, renormalized within the cutoff."""
-    amp = _coherent_amplitudes(alpha, cutoff)
-    nsq = float(np.vdot(amp, amp).real)
-    if nsq <= 0.0:
-        raise ValueError(f"coherent amplitude {alpha} underflows to the null vector")
-    deficit = max(0.0, 1.0 - nsq)
-    return MultiModeState(amp * (1.0 / math.sqrt(nsq)), leakage=deficit)
 
 
 def cat_state(alpha: float, phi: float = math.pi,

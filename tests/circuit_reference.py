@@ -8,14 +8,17 @@ with diagonal click elements 1 - (1-eta)^n. Every mode is cut at the
 array's size, so the auxiliary and detector modes carry the truncation
 the closed-form herald removes. U1 and the 50:50 splitter are dense
 c^2 x c^2 matrices, one ``expm`` per photon-number block, built here
-rather than by catamp's block apply. Also the matrix-exponential squeeze
-unitary, a reference for the closed-form squeezed states.
+rather than by catamp's block apply. Also number and coherent states,
+the coherent one from its closed form rather than catamp's recurrence,
+and the matrix-exponential squeeze unitary, a reference for the
+closed-form squeezed states.
 
 Splitters are named by their mixing angle theta: reflectivity
-sin(theta), transmittivity cos(theta). Only ``coherent_state`` comes
-from catamp. ``apply_beam_splitter`` is no reference: it drives
-catamp's own U1 on flat two-mode amplitudes, for the tests that check
-it against this module. Nor are ``apply_blocks`` and
+sin(theta), transmittivity cos(theta). From catamp come only
+``MultiModeState``, the container the states are returned in, their
+default cutoff and the pieces named below. ``apply_beam_splitter`` is
+no reference: it drives catamp's own U1 on flat two-mode amplitudes, for
+the tests that check it against this module. Nor are ``apply_blocks`` and
 ``mix_pairs_broadcast``: they are catamp's grouped U1 driven the plain
 way, one broadcast product of the pairs mixed into a new array, which
 ``_mix_pairs`` must reproduce bit for bit.
@@ -27,7 +30,7 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import expm
 
-from catamp import coherent_state
+from catamp.fock import DEFAULT_CUTOFF, MultiModeState
 from catamp.optics import _beam_splitter_blocks, _mix_pairs, _mixing_basis
 
 FIFTY = math.pi / 4
@@ -35,6 +38,31 @@ FIFTY = math.pi / 4
 # (detector on mode 1 clicks, detector on mode 2 clicks)
 PATTERNS = ((False, False), (False, True), (True, False), (True, True))
 BOTH_CLICK = (True, True)
+
+
+def fock_state(n, cutoff=DEFAULT_CUTOFF):
+    """Number state |n> on ``cutoff`` levels."""
+    if not 0 <= n < cutoff:
+        raise ValueError(f"photon number {n} outside truncated basis [0, {cutoff})")
+    return MultiModeState(np.eye(cutoff)[n])
+
+
+def coherent_state(alpha, cutoff=DEFAULT_CUTOFF):
+    """Coherent state |alpha> on ``cutoff`` levels, from the closed form
+    e^{-|alpha|^2/2} alpha^n / sqrt(n!) with each modulus taken in log
+    space, renormalized; its leakage is the squared-norm deficit. A
+    complex ``alpha`` gives complex128 amplitudes, a real one float64."""
+    if alpha == 0:
+        return fock_state(0, cutoff)
+    n = np.arange(cutoff)
+    modulus = abs(alpha)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(cutoff)])
+    amp = np.exp(n * math.log(modulus) - 0.5 * modulus ** 2 - 0.5 * log_fact)
+    amp = amp * (alpha / modulus) ** n
+    nsq = float(np.vdot(amp, amp).real)
+    if nsq <= 0.0:
+        raise ValueError(f"coherent amplitude {alpha} underflows to the null vector")
+    return MultiModeState(amp / math.sqrt(nsq), leakage=max(0.0, 1.0 - nsq))
 
 
 def product(*amplitudes):

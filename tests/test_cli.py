@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,7 +23,7 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(eta=1.5)
     with pytest.raises(ConfigError):
-        RunConfig(fmt="xml")
+        RunConfig(format="xml")
 
 
 def test_fig2_rows_cross_check_formula(monkeypatch):
@@ -103,7 +104,7 @@ def test_render_csv_format():
 
 def test_render_json_roundtrip(monkeypatch):
     monkeypatch.setattr(cli, "ALPHA_GRID", [0.5])
-    table = cmd_fig3(RunConfig(fmt="json"))
+    table = cmd_fig3(RunConfig(format="json"))
     doc = json.loads(render_json(table))
     assert doc["columns"] == ["alpha", "r_star", "f_max"]
     assert doc["meta"]["cutoff"] == 30
@@ -129,6 +130,11 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("alpha_target = 1.0\ntypo_key = 3\n")
     with pytest.raises(ConfigError):
         parse_config(str(bad))
+    # a value outside its flag's choices is refused where it stands
+    for line in ("format = xml", "source = bogus"):
+        bad.write_text(f"alpha_target = 1.0\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}:2: ")):
+            parse_config(str(bad))
 
 
 def test_main_runs_amplify_from_config(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import StageParams, cat_state, coherent_state, fock_state, plan_schedule
+from catamp import StageParams, cat_state, plan_schedule
 from catamp.detection import herald_operator
+from circuit_reference import coherent_state, fock_state
 
 
 def _conditioning_circuit(input_a, input_b, gamma):

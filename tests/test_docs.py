@@ -1,18 +1,37 @@
 """The public API and the README stay in step."""
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
 import catamp
 from catamp import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in catamp.__all__ if not hasattr(catamp, name)]
     assert not missing
+
+
+def test_every_exported_name_is_used_outside_tests():
+    # a use is a name read in code, not its definition, an import, a
+    # docstring or a string such as a benchmark span's target; the code is
+    # the package's modules, __init__ aside, and the benchmark's
+    sources = [p for p in (ROOT / "src" / "catamp").glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "perfbench").rglob("*.py")
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(set(catamp.__all__) - used)
+    assert not unused
 
 
 def test_readme_python_quickstart_runs():

@@ -5,11 +5,11 @@ import pytest
 
 import circuit_reference as ref
 from catamp import (DensityOperator, MultiModeState, SourceModel, cat_state,
-                    coherent_state, fidelity_mixed, fock_state, plan_schedule,
-                    prepare_source, projector, run_schedule, squeezed_photon,
-                    squeezed_vacuum)
+                    fidelity_mixed, plan_schedule, prepare_source, projector,
+                    run_schedule, squeezed_photon, squeezed_vacuum)
 from catamp.fock import EIGEN_FLOOR
 from catamp.protocol import SOURCE_KINDS
+from circuit_reference import coherent_state, fock_state
 
 # The three-mode product states and partial traces below are the brute-force
 # reference's; with dead detectors (eta = 0) its double no-click conditioning

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import (StageParams, cat_state, coherent_state, fock_state,
-                    squeezed_photon)
+from catamp import StageParams, cat_state, squeezed_photon
 from catamp.optics import _beam_splitter_blocks, _mix_pairs, _mixing_basis
-from circuit_reference import apply_beam_splitter, apply_blocks
+from circuit_reference import (apply_beam_splitter, apply_blocks, coherent_state,
+                               fock_state)
 
 # mixing angles: reflectivity sin(theta), transmittivity cos(theta)
 FIFTY = math.pi / 4
