@@ -142,6 +142,12 @@ class Schedule:
         if not isinstance(self.n_iterations, numbers.Integral) or self.n_iterations < 0:
             raise ValueError(
                 f"iteration count must be a non-negative integer, got {self.n_iterations!r}")
+        try:
+            alpha_i = self.alpha_i
+        except OverflowError:  # sqrt(2)^n passes the largest float from n = 2048 on
+            alpha_i = 0.0
+        if not 0.0 < alpha_i < math.inf:
+            raise ValueError(f"stage-0 amplitude is 0 or inf at n = {self.n_iterations}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
 
@@ -204,7 +210,8 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
 
     root = herald_root(params.eta, params.gamma, cutoff)
     # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, after U1
-    pairs = _mix_pairs(params.mixing_angle, va * np.sqrt(wa), vb * np.sqrt(wb))
+    a = va * np.sqrt(wa)
+    pairs = _mix_pairs(params.mixing_angle, a, a if vb is va else vb * np.sqrt(wb))
     # Pi^{1/2} on the dump axis (bright index slowest): rho = Y Y^dag is
     # Hermitian PSD by construction
     y = (root @ pairs).reshape(cutoff, -1)

@@ -114,8 +114,8 @@ def apply_blocks(theta, cutoff, y):
     rows are mixed as their real and imaginary parts."""
     out = np.empty(y.shape, dtype=y.dtype)
     parts, mixed = y.view(np.float64), out.view(np.float64)
-    for (rows, _, _), b in zip(_mixing_basis(cutoff).groups,
-                               _beam_splitter_blocks(theta, cutoff)):
+    for (rows, *_), b in zip(_mixing_basis(cutoff).groups,
+                             _beam_splitter_blocks(theta, cutoff, None)):
         shape = (b.shape[0], b.shape[1], -1)
         np.matmul(b, parts[rows].reshape(shape), out=mixed[rows].reshape(shape))
     return out

@@ -222,6 +222,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["fig4", "--cutoff", "8"]) == 1
     assert main(["amplify", "--alpha-target", "1.0", "--source", "ideal-cat",
                  "--r", "0.3"]) == 1
+    # sqrt(2)^3000 overflows: the schedule is refused, not a traceback
+    capsys.readouterr()
+    assert main(["amplify", "--alpha-target", "2", "--iterations", "3000"]) == 1
+    assert capsys.readouterr().err.startswith("error: stage-0 amplitude")
     # eta = 0 kills every click: numerical degeneracy is exit code 2
     assert main(["amplify", "--alpha-target", "1.0", "--iterations", "1",
                  "--eta", "0.0"]) == 2

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import StageParams, cat_state, squeezed_photon
+from catamp import (Schedule, SourceModel, StageParams, cat_state, run_schedule,
+                    squeezed_photon)
+from catamp.cli import _build_parser
 from catamp.optics import _beam_splitter_blocks, _mix_pairs, _mixing_basis
 from circuit_reference import (apply_beam_splitter, apply_blocks, coherent_state,
                                fock_state)
@@ -125,23 +127,88 @@ def test_mix_pairs_reproduces_the_broadcast_product_bit_for_bit(cutoff, ranks, k
             assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
+def _hits_and_builds():
+    info = _beam_splitter_blocks.cache_info()
+    return info.hits, info.misses
+
+
+def _definite(rng, shape, parity):
+    """Random columns that are exactly zero on the other photon-number parity."""
+    x = rng.standard_normal(shape)
+    x[1 - parity::2] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30])
+def test_mix_pairs_on_parity_definite_inputs_is_bit_for_bit(cutoff, ranks, kind):
+    # inputs of definite parity are mixed by the blocks of their total
+    # parity alone, and must not move a bit against all of U1's blocks
+    rng = np.random.default_rng([cutoff, *ranks, 2])
+    exact = not (cutoff == 1 and kind == "complex x complex")  # as above
+    # at c = 1 there is no odd photon number
+    for pa, pb in ((0, 0), (1, 1), (0, 1), (1, 0))[:1 if cutoff == 1 else 4]:
+        a, b = (_definite(rng, (cutoff, r), p) * (1j if twist else 1.0)
+                for r, p, twist in zip(ranks, (pa, pb), KINDS[kind]))
+        for theta in THETAS:
+            _beam_splitter_blocks.cache_clear()
+            got = _mix_pairs(theta, a, b)
+            # the pair took the set of its total parity: a hit, not a build
+            _beam_splitter_blocks(theta, cutoff, (pa + pb) % 2)
+            assert _hits_and_builds() == (1, 1)
+            want = ref.mix_pairs_broadcast(theta, a, b)
+            assert got.dtype == want.dtype == np.result_type(a, b)
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_mix_pairs_with_one_parity_definite_input_takes_every_block():
+    rng = np.random.default_rng(5)
+    even, mixed = _definite(rng, (12, 2), 0), rng.standard_normal((12, 3))
+    for a, b in ((even, mixed), (mixed, even)):
+        _beam_splitter_blocks.cache_clear()
+        got = _mix_pairs(FIFTY, a, b)
+        _beam_splitter_blocks(FIFTY, 12, None)
+        assert _hits_and_builds() == (1, 1)
+        assert np.array_equal(got, ref.mix_pairs_broadcast(FIFTY, a, b))
+
+
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 def test_spans_cover_the_layout_within_the_result(cutoff):
     # consecutive runs of whole groups, each no longer than the result
-    # array whose leading rows hold a run's pairs while U1 mixes them
+    # array whose leading rows hold a run's pairs while U1 mixes them;
+    # inside a group the blocks of even N lead, so the blocks of either
+    # parity are one run of its stack and rows, and rows off that parity
+    # read the zero row of the first factors
     basis = _mixing_basis(cutoff)
-    assert basis.scratch == max([cutoff * cutoff] + [r.stop - r.start for r, _, _ in basis.groups])
-    seen, start = [], 0
-    for rows, second, members in basis.spans:
-        assert rows.start == start and rows.stop - rows.start <= basis.scratch
-        assert np.array_equal(second, basis.second[rows])
-        for g, local, group, shape in members:
-            vecs = basis.groups[g][1]
-            assert group == basis.groups[g][0] and shape == (*vecs.shape[:2], -1)
-            assert (local.start + rows.start, local.stop + rows.start) == (group.start, group.stop)
-            seen.append(g)
-        start = rows.stop
-    assert seen == list(range(len(basis.groups))) and start == len(basis.first)
+    assert basis.scratch == max([cutoff * cutoff] + [r.stop - r.start for r, *_ in basis.groups])
+    real = basis.first < cutoff
+    parity = np.where(real, (basis.first + basis.second) % 2, -1)
+    assert basis.reads[None] is basis.first
+    for p in (None, 0, 1):
+        if p is not None:
+            assert np.array_equal(basis.reads[p], np.where(parity == p, basis.first, cutoff))
+        seen, start, mixed = [], 0, np.zeros(len(real), dtype=bool)
+        for rows, second, members in basis.spans:
+            assert rows.start == start and rows.stop - rows.start <= basis.scratch
+            assert np.array_equal(second, basis.second[rows])
+            for g, local, group, shape in members[p]:
+                whole, vecs, _, sets = basis.groups[g]
+                width, run = vecs.shape[1], sets[p]
+                assert group == slice(whole.start + run.start * width, whole.start + run.stop * width)
+                assert shape == (run.stop - run.start, width, -1) and shape[0] > 0
+                assert (local.start + rows.start, local.stop + rows.start) == (group.start, group.stop)
+                seen.append(g)
+                mixed[group] = True
+            start = rows.stop
+        assert start == len(basis.first)
+        if p is None:
+            assert seen == list(range(len(basis.groups))) and mixed.all()
+        else:
+            assert np.array_equal(mixed & real, parity == p)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
@@ -161,16 +228,22 @@ def test_padding_rows_stay_zero(cutoff):
 @pytest.mark.parametrize("theta", THETAS)
 def test_blocks_are_orthogonal(cutoff, theta):
     # one stacked array per group of widths 8, 16, ... capped at c, so
-    # one apply makes ceil(c / 8) matmul calls: 4 at c = 30, 8 at c = 64
-    groups = _beam_splitter_blocks(theta, cutoff)
-    assert len(groups) == len(_mixing_basis(cutoff).groups) == math.ceil(cutoff / 8)
-    assert sum(len(b) for b in groups) == 2 * cutoff - 1
+    # one apply makes ceil(c / 8) matmul calls: 4 at c = 30, 8 at c = 64;
+    # the c blocks of even N and the c - 1 of odd N are each a run of the
+    # full set, built bit for bit alike
+    basis = _mixing_basis(cutoff)
+    full = _beam_splitter_blocks(theta, cutoff, None)
     widths = sorted({min(8 * math.ceil(d / 8), cutoff) for d in range(1, cutoff + 1)})
-    assert [b.shape[1:] for b in groups] == [(w, w) for w in widths]
-    for b in groups:
-        assert b.dtype == np.float64
-        gram = np.swapaxes(b, 1, 2) @ b
-        assert np.abs(gram - np.eye(b.shape[1])).max() < 1e-13
+    for parity, count in ((None, 2 * cutoff - 1), (0, cutoff), (1, cutoff - 1)):
+        groups = _beam_splitter_blocks(theta, cutoff, parity)
+        assert len(groups) == len(basis.groups) == math.ceil(cutoff / 8)
+        assert sum(len(b) for b in groups) == count
+        assert [b.shape[1:] for b in groups] == [(w, w) for w in widths]
+        for b, whole, (*_, sets) in zip(groups, full, basis.groups):
+            assert np.array_equal(b, whole[sets[parity]])
+            assert b.dtype == np.float64 and not b.flags.writeable
+            gram = np.swapaxes(b, 1, 2) @ b
+            assert gram.size == 0 or np.abs(gram - np.eye(b.shape[1])).max() < 1e-13
 
 
 def test_apply_beam_splitter_rejects_non_square_row_count():
@@ -257,15 +330,15 @@ def test_two_cat_interference_matches_coherent_construction():
 
 
 def test_unitary_cache_returns_consistent_readonly_matrices():
-    u1 = _beam_splitter_blocks(FIFTY, 12)
+    u1 = _beam_splitter_blocks(FIFTY, 12, None)
     _beam_splitter_blocks.cache_clear()
-    u2 = _beam_splitter_blocks(FIFTY, 12)
+    u2 = _beam_splitter_blocks(FIFTY, 12, None)
     assert u1 is not u2
     assert all(np.array_equal(b1, b2) for b1, b2 in zip(u1, u2))
     assert not any(b.flags.writeable for b in u1)
 
 
-def test_unitary_cache_holds_one_matrix():
+def test_unitary_cache_holds_two_block_sets():
     # equal-amplitude stages normalize to ratios that differ in the last
     # bit, yet all mix at exactly pi/4, so a schedule reuses its blocks
     amps = (0.3, 2 ** -0.5, 1.0, 2.5)
@@ -273,12 +346,27 @@ def test_unitary_cache_holds_one_matrix():
     assert len(ratios) == 2
     angles = [StageParams(a, a, math.pi, math.pi).mixing_angle for a in amps]
     assert set(angles) == {FIFTY}
-    vac = np.kron(fock_state(0, 12).amplitudes, fock_state(0, 12).amplitudes)
+    # the odd squeezed photon's first stage takes the even set, the
+    # eigen branches of every later stage the full set
+    sched = Schedule(2.0, 4)
     _beam_splitter_blocks.cache_clear()
-    for theta in angles:
-        apply_beam_splitter(theta, vac)
-    assert _beam_splitter_blocks.cache_info().hits == len(amps) - 1
+    for runs in (1, 2):
+        run_schedule(sched, SourceModel("squeezed-photon"), cutoff=12)
+        assert _hits_and_builds() == (runs * 4 - 2, 2)
+    for parity in (0, None):
+        _beam_splitter_blocks(FIFTY, 12, parity)
+    assert _hits_and_builds() == (8, 2)
+    # fig2's cats at pi/4 take the even set (odd x odd, even x even) and
+    # the odd set (even x odd), and never the full set
+    args = _build_parser().parse_args(["fig2", "--cutoff", "8"])
+    _beam_splitter_blocks.cache_clear()
+    rows = len(args.run(args).rows)
+    assert _hits_and_builds() == (3 * rows - 2, 2)
+    for parity in (0, 1):
+        _beam_splitter_blocks(FIFTY, 8, parity)
+    assert _hits_and_builds() == (3 * rows, 2)
+    # at most two sets are held, whatever the angles and cutoffs
     for theta in (math.atan2(0.6, 0.8), FIFTY, math.atan2(0.28, 0.96)):
         for cutoff in (8, 12):
             apply_beam_splitter(theta, np.eye(cutoff * cutoff)[0])
-            assert _beam_splitter_blocks.cache_info().currsize == 1
+            assert _beam_splitter_blocks.cache_info().currsize == 2

@@ -346,6 +346,12 @@ def test_schedule_rejects_bad_plans():
     for count in (1.5, 2.0):
         with pytest.raises(ValueError, match="iteration"):
             plan_schedule(2.0, count)
+    # sqrt(2)^3000 overflows, and the stage-0 amplitude of an infinite
+    # target is no amplitude either
+    for target, count in ((2.0, 3000), (math.inf, 2)):
+        with pytest.raises(ValueError, match="stage-0 amplitude"):
+            Schedule(target, count)
+    assert Schedule(2.0, 2000).alpha_i > 0.0
     assert plan_schedule(2.0, 0).stages == ()
 
 
