@@ -174,14 +174,13 @@ def plan_schedule(alpha_target: float, n_iterations: int, eta: float = 1.0) -> S
 
 
 def _input_branches(state, label: str):
-    """Decompose an input into weighted pure branches.
-
-    Returns (weights, column vectors, discarded weight).
-    """
+    """An input's pure branches as the columns sqrt(w_i) v_i, and the
+    weight its decomposition discarded."""
     if isinstance(state, MultiModeState):
-        return np.array([1.0]), state.amplitudes[:, None], 0.0
+        return state.amplitudes[:, None], 0.0
     if isinstance(state, DensityOperator):
-        return state.eigenbranches()
+        weights, vecs, discarded = state.eigenbranches()
+        return vecs * np.sqrt(weights), discarded
     raise TypeError(f"{label} input must be a MultiModeState or DensityOperator")
 
 
@@ -200,18 +199,17 @@ def amplify_once(input_a, input_b, params: StageParams) -> IterationResult:
     real (cat phases 0 or pi, squeezed states, and the outputs of such
     stages), in complex128 when either is complex.
     """
-    wa, va, disc_a = _input_branches(input_a, "first")
-    # a schedule feeds one state to both ports: decompose it once
-    wb, vb, disc_b = (_input_branches(input_b, "second") if input_b is not input_a
-                      else (wa, va, disc_a))
-    cutoff = va.shape[0]
-    if vb.shape[0] != cutoff:
-        raise ValueError(f"cutoff mismatch between inputs: {cutoff} vs {vb.shape[0]}")
+    a, disc_a = _input_branches(input_a, "first")
+    # a schedule feeds one state to both ports: decompose it once, and
+    # pass it to both as one array
+    b, disc_b = (a, disc_a) if input_b is input_a else _input_branches(input_b, "second")
+    cutoff = a.shape[0]
+    if b.shape[0] != cutoff:
+        raise ValueError(f"cutoff mismatch between inputs: {cutoff} vs {b.shape[0]}")
 
     root = herald_root(params.eta, params.gamma, cutoff)
     # one column sqrt(w_i w_j) a_i (x) b_j per branch pair, after U1
-    a = va * np.sqrt(wa)
-    pairs = _mix_pairs(params.mixing_angle, a, a if vb is va else vb * np.sqrt(wb))
+    pairs = _mix_pairs(params.mixing_angle, a, b)
     # Pi^{1/2} on the dump axis (bright index slowest): rho = Y Y^dag is
     # Hermitian PSD by construction
     y = (root @ pairs).reshape(cutoff, -1)
@@ -359,11 +357,11 @@ def success_probability(alpha: float, beta: float, phi_a: float, phi_b: float) -
 def squeezed_photon_cat_fidelity(r: float, alpha: float) -> float:
     """Closed-form overlap of the squeezed photon with the odd cat:
     F = 2 a^2 exp[a^2 (tanh r - 1)] / (cosh^3 r (1 - e^{-2 a^2}))."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"cat amplitude must be finite and positive, got {alpha}")
+    asq = alpha * alpha
+    if not (math.isfinite(alpha) and alpha > 0.0 and asq > 0.0):
+        raise ValueError(f"cat amplitude must be finite, positive and square to > 0, got {alpha}")
     if not math.isfinite(r):
         raise ValueError(f"squeezing must be finite, got {r}")
-    asq = alpha * alpha
     return (2.0 * asq * math.exp(asq * (math.tanh(r) - 1.0))
             / (math.cosh(r) ** 3 * -math.expm1(-2.0 * asq)))
 

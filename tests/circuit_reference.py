@@ -109,23 +109,25 @@ def apply_beam_splitter(theta, x):
 
 
 def apply_blocks(theta, cutoff, y):
-    """catamp's U1 blocks on the rows of ``y``, amplitudes in the grouped
-    layout of ``_mixing_basis(cutoff)``, returned as a new array; complex
-    rows are mixed as their real and imaginary parts."""
+    """catamp's U1 blocks of both parities on the rows of ``y``, amplitudes
+    in the parity-first layout of ``_mixing_basis(cutoff)``, returned as
+    a new array; complex rows are mixed as their real and imaginary parts."""
+    basis = _mixing_basis(cutoff)
     out = np.empty(y.shape, dtype=y.dtype)
-    parts, mixed = y.view(np.float64), out.view(np.float64)
-    for (rows, *_), b in zip(_mixing_basis(cutoff).groups,
-                             _beam_splitter_blocks(theta, cutoff, None)):
-        shape = (b.shape[0], b.shape[1], -1)
-        np.matmul(b, parts[rows].reshape(shape), out=mixed[rows].reshape(shape))
+    for parity, rows in enumerate(basis.rows):
+        parts, mixed = y[rows].view(np.float64), out[rows].view(np.float64)
+        for (local, *_), b in zip(basis.groups[parity],
+                                  _beam_splitter_blocks(theta, cutoff, parity)):
+            shape = (b.shape[0], b.shape[1], -1)
+            np.matmul(b, parts[local].reshape(shape), out=mixed[local].reshape(shape))
     return out
 
 
 def mix_pairs_broadcast(theta, a, b):
     """``_mix_pairs`` as one broadcast product: the columns of ``a`` and
-    ``b`` over an appended zero row, gathered into the grouped layout and
-    multiplied pair by pair, mixed by ``apply_blocks`` and gathered back
-    to the c x c x (r_a r_b) mode grid."""
+    ``b`` over an appended zero row, gathered into the parity-first layout
+    and multiplied pair by pair, mixed by ``apply_blocks`` and gathered
+    back to the c x c x (r_a r_b) mode grid."""
     c = a.shape[0]
     basis = _mixing_basis(c)
     pa = np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])

@@ -226,6 +226,9 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["amplify", "--alpha-target", "2", "--iterations", "3000"]) == 1
     assert capsys.readouterr().err.startswith("error: stage-0 amplitude")
+    # so is a target whose square underflows to 0 in the squeezing optimizer
+    assert main(["amplify", "--alpha-target", "1e-300"]) == 1
+    assert capsys.readouterr().err.startswith("error: cat amplitude")
     # eta = 0 kills every click: numerical degeneracy is exit code 2
     assert main(["amplify", "--alpha-target", "1.0", "--iterations", "1",
                  "--eta", "0.0"]) == 2

@@ -108,8 +108,8 @@ KINDS = {"real x real": (False, False), "complex x real": (True, False),
 @pytest.mark.parametrize("ranks", [(1, 1), (2, 3), (3, 2), (5, 5), (11, 11)])
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30])
 def test_mix_pairs_reproduces_the_broadcast_product_bit_for_bit(cutoff, ranks, kind):
-    # the long-loop pair columns, spans and gather must not move a bit
-    # against one broadcast product mixed into a new array
+    # the long-loop pair columns, per-parity mixing and gather must not
+    # move a bit against one broadcast product mixed into a new array
     rng = np.random.default_rng([cutoff, *ranks])
     a, b = (rng.standard_normal((cutoff, r, 2)) @ ((1.0, 1j) if twist else (1.0, 0.0))
             for r, twist in zip(ranks, KINDS[kind]))
@@ -132,9 +132,10 @@ def _hits_and_builds():
     return info.hits, info.misses
 
 
-def _definite(rng, shape, parity):
-    """Random columns that are exactly zero on the other photon-number parity."""
-    x = rng.standard_normal(shape)
+def _definite(rng, shape, parity, twist=False):
+    """Random columns, complex if ``twist``, that are exactly zero on the
+    other photon-number parity."""
+    x = rng.standard_normal((*shape, 2)) @ ((1.0, 1j) if twist else (1.0, 0.0))
     x[1 - parity::2] = 0.0
     return x
 
@@ -144,7 +145,7 @@ def _definite(rng, shape, parity):
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30])
 def test_mix_pairs_on_parity_definite_inputs_is_bit_for_bit(cutoff, ranks, kind):
     # inputs of definite parity are mixed by the blocks of their total
-    # parity alone, and must not move a bit against all of U1's blocks
+    # parity alone, and must not move a bit against both parities' blocks
     rng = np.random.default_rng([cutoff, *ranks, 2])
     exact = not (cutoff == 1 and kind == "complex x complex")  # as above
     # at c = 1 there is no odd photon number
@@ -166,53 +167,72 @@ def test_mix_pairs_on_parity_definite_inputs_is_bit_for_bit(cutoff, ranks, kind)
 
 
 def test_mix_pairs_with_one_parity_definite_input_takes_every_block():
+    # a pair that is not parity-definite builds the even set, then the odd
     rng = np.random.default_rng(5)
     even, mixed = _definite(rng, (12, 2), 0), rng.standard_normal((12, 3))
     for a, b in ((even, mixed), (mixed, even)):
         _beam_splitter_blocks.cache_clear()
         got = _mix_pairs(FIFTY, a, b)
-        _beam_splitter_blocks(FIFTY, 12, None)
-        assert _hits_and_builds() == (1, 1)
+        for parity in (0, 1):
+            _beam_splitter_blocks(FIFTY, 12, parity)
+        assert _hits_and_builds() == (2, 2)
         assert np.array_equal(got, ref.mix_pairs_broadcast(FIFTY, a, b))
+
+
+@pytest.mark.parametrize("twist", [False, True])
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 30])
+def test_parity_path_matches_reference_expm(cutoff, twist):
+    # a parity-definite pair against the reference's dense per-block expm,
+    # which shares nothing with catamp's blocks; the other parity's rows
+    # are exact zeros
+    n = cutoff * cutoff
+    rng = np.random.default_rng([cutoff, twist])
+    for theta in THETAS:
+        blocks = list(ref.beam_splitter_blocks(theta, cutoff))
+        for pa, pb in ((0, 0), (1, 1), (0, 1)):
+            a, b = _definite(rng, (cutoff, 2), pa, twist), _definite(rng, (cutoff, 3), pb, twist)
+            got = _mix_pairs(theta, a, b).reshape(n, -1)
+            pairs = (a[:, None, :, None] * b[None, :, None, :]).reshape(got.shape)
+            for total, (flat, block) in enumerate(blocks):
+                if total % 2 == (pa + pb) % 2:
+                    assert np.abs(got[flat] - block @ pairs[flat]).max() < 1e-11
+                else:
+                    assert np.all(got[flat] == 0.0)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 def test_spans_cover_the_layout_within_the_result(cutoff):
-    # consecutive runs of whole groups, each no longer than the result
-    # array whose leading rows hold a run's pairs while U1 mixes them;
-    # inside a group the blocks of even N lead, so the blocks of either
-    # parity are one run of its stack and rows, and rows off that parity
-    # read the zero row of the first factors
+    # the rows are laid out parity first: each parity's span of rows is
+    # contiguous, holds exactly that parity's states |k, N-k> and fits in
+    # the c^2 rows of the result, whose leading rows hold its pairs while
+    # U1 mixes them; its groups tile it in order
     basis = _mixing_basis(cutoff)
-    assert basis.scratch == max([cutoff * cutoff] + [r.stop - r.start for r, *_ in basis.groups])
-    real = basis.first < cutoff
-    parity = np.where(real, (basis.first + basis.second) % 2, -1)
-    assert basis.reads[None] is basis.first
-    for p in (None, 0, 1):
-        if p is not None:
-            assert np.array_equal(basis.reads[p], np.where(parity == p, basis.first, cutoff))
-        seen, start, mixed = [], 0, np.zeros(len(real), dtype=bool)
-        for rows, second, members in basis.spans:
-            assert rows.start == start and rows.stop - rows.start <= basis.scratch
-            assert np.array_equal(second, basis.second[rows])
-            for g, local, group, shape in members[p]:
-                whole, vecs, _, sets = basis.groups[g]
-                width, run = vecs.shape[1], sets[p]
-                assert group == slice(whole.start + run.start * width, whole.start + run.stop * width)
-                assert shape == (run.stop - run.start, width, -1) and shape[0] > 0
-                assert (local.start + rows.start, local.stop + rows.start) == (group.start, group.stop)
-                seen.append(g)
-                mixed[group] = True
-            start = rows.stop
-        assert start == len(basis.first)
-        if p is None:
-            assert seen == list(range(len(basis.groups))) and mixed.all()
-        else:
-            assert np.array_equal(mixed & real, parity == p)
+    real = basis.first < cutoff  # padding rows read c
+    assert [r.start for r in basis.rows] == [0, basis.rows[0].stop]
+    assert basis.rows[1].stop == len(basis.first)
+    numbers = np.arange(cutoff)
+    for parity, rows in enumerate(basis.rows):
+        assert rows.stop - rows.start <= cutoff * cutoff
+        held = real[rows]
+        states = set(zip(basis.first[rows][held].tolist(), basis.second[rows][held].tolist()))
+        assert len(states) == np.count_nonzero(held)
+        assert states == {(i, j) for i in numbers for j in numbers if (i + j) % 2 == parity}
+        start = 0
+        for local, vecs, values in basis.groups[parity]:
+            assert local.start == start and local.stop - start == vecs.shape[0] * vecs.shape[1]
+            assert values.shape == vecs.shape[:2]
+            start = local.stop
+        assert start == rows.stop - rows.start
+    # inverse maps the flat two-mode indices onto the real rows one to one
+    assert np.array_equal(np.sort(basis.inverse), np.flatnonzero(real))
+    flat = basis.first[basis.inverse] * cutoff + basis.second[basis.inverse]
+    assert np.array_equal(flat, np.arange(cutoff * cutoff))
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 def test_padding_rows_stay_zero(cutoff):
+    # both parities' blocks act on the whole layout; the identity on each
+    # block's padding keeps the zero padding rows zero
     basis = _mixing_basis(cutoff)
     pad = basis.first == cutoff
     assert np.array_equal(pad, basis.second == cutoff)
@@ -227,23 +247,24 @@ def test_padding_rows_stay_zero(cutoff):
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
 @pytest.mark.parametrize("theta", THETAS)
 def test_blocks_are_orthogonal(cutoff, theta):
-    # one stacked array per group of widths 8, 16, ... capped at c, so
-    # one apply makes ceil(c / 8) matmul calls: 4 at c = 30, 8 at c = 64;
-    # the c blocks of even N and the c - 1 of odd N are each a run of the
-    # full set, built bit for bit alike
+    # per parity one stacked array per group of widths 8, 16, ... capped
+    # at c that the parity's blocks use: 8 groups at c = 30 and 16 at
+    # c = 64; the even set holds the c blocks of even N, the odd set the
+    # c - 1 of odd N
     basis = _mixing_basis(cutoff)
-    full = _beam_splitter_blocks(theta, cutoff, None)
-    widths = sorted({min(8 * math.ceil(d / 8), cutoff) for d in range(1, cutoff + 1)})
-    for parity, count in ((None, 2 * cutoff - 1), (0, cutoff), (1, cutoff - 1)):
+    for parity, count in ((0, cutoff), (1, cutoff - 1)):
         groups = _beam_splitter_blocks(theta, cutoff, parity)
-        assert len(groups) == len(basis.groups) == math.ceil(cutoff / 8)
+        sizes = [min(n, 2 * cutoff - 2 - n) + 1 for n in range(parity, 2 * cutoff - 1, 2)]
+        widths = sorted({min(8 * math.ceil(d / 8), cutoff) for d in sizes})
+        assert len(groups) == len(basis.groups[parity])
         assert sum(len(b) for b in groups) == count
         assert [b.shape[1:] for b in groups] == [(w, w) for w in widths]
-        for b, whole, (*_, sets) in zip(groups, full, basis.groups):
-            assert np.array_equal(b, whole[sets[parity]])
+        for b in groups:
             assert b.dtype == np.float64 and not b.flags.writeable
             gram = np.swapaxes(b, 1, 2) @ b
-            assert gram.size == 0 or np.abs(gram - np.eye(b.shape[1])).max() < 1e-13
+            assert np.abs(gram - np.eye(b.shape[1])).max() < 1e-13
+    if cutoff in (30, 64):  # a pair of both parities makes one matmul call per group
+        assert len(basis.groups[0]) + len(basis.groups[1]) == {30: 8, 64: 16}[cutoff]
 
 
 def test_apply_beam_splitter_rejects_non_square_row_count():
@@ -330,12 +351,14 @@ def test_two_cat_interference_matches_coherent_construction():
 
 
 def test_unitary_cache_returns_consistent_readonly_matrices():
-    u1 = _beam_splitter_blocks(FIFTY, 12, None)
-    _beam_splitter_blocks.cache_clear()
-    u2 = _beam_splitter_blocks(FIFTY, 12, None)
-    assert u1 is not u2
-    assert all(np.array_equal(b1, b2) for b1, b2 in zip(u1, u2))
-    assert not any(b.flags.writeable for b in u1)
+    for parity in (0, 1):
+        u1 = _beam_splitter_blocks(FIFTY, 12, parity)
+        assert _beam_splitter_blocks(FIFTY, 12, parity) is u1
+        _beam_splitter_blocks.cache_clear()
+        u2 = _beam_splitter_blocks(FIFTY, 12, parity)
+        assert u1 is not u2
+        assert all(np.array_equal(b1, b2) for b1, b2 in zip(u1, u2))
+        assert not any(b.flags.writeable for b in u1)
 
 
 def test_unitary_cache_holds_two_block_sets():
@@ -346,18 +369,24 @@ def test_unitary_cache_holds_two_block_sets():
     assert len(ratios) == 2
     angles = [StageParams(a, a, math.pi, math.pi).mixing_angle for a in amps]
     assert set(angles) == {FIFTY}
-    # the odd squeezed photon's first stage takes the even set, the
-    # eigen branches of every later stage the full set
+    # the odd squeezed photon's first stage builds the even set; the eigen
+    # branches of every later stage take both sets, so the second stage
+    # builds the odd one, and from then on every call is a hit
+    source = SourceModel("squeezed-photon")
+    _beam_splitter_blocks.cache_clear()
+    run_schedule(Schedule(2.0, 1), source, cutoff=12)
+    _beam_splitter_blocks(FIFTY, 12, 0)
+    assert _hits_and_builds() == (1, 1)
     sched = Schedule(2.0, 4)
     _beam_splitter_blocks.cache_clear()
     for runs in (1, 2):
-        run_schedule(sched, SourceModel("squeezed-photon"), cutoff=12)
-        assert _hits_and_builds() == (runs * 4 - 2, 2)
-    for parity in (0, None):
+        run_schedule(sched, source, cutoff=12)
+        assert _hits_and_builds() == (runs * 7 - 2, 2)
+    for parity in (0, 1):
         _beam_splitter_blocks(FIFTY, 12, parity)
-    assert _hits_and_builds() == (8, 2)
+    assert _hits_and_builds() == (14, 2)
     # fig2's cats at pi/4 take the even set (odd x odd, even x even) and
-    # the odd set (even x odd), and never the full set
+    # the odd set (even x odd)
     args = _build_parser().parse_args(["fig2", "--cutoff", "8"])
     _beam_splitter_blocks.cache_clear()
     rows = len(args.run(args).rows)

@@ -503,6 +503,13 @@ def test_squeezed_photon_fidelity_formula_values():
 def test_closed_forms_survive_vanishing_amplitudes():
     # 1 - e^{-2 alpha^2} rounds to 0 below alpha ~ 7e-9; a tiny odd cat is |1>
     assert math.isclose(squeezed_photon_cat_fidelity(0.0, 1e-9), 1.0, rel_tol=1e-12)
+    assert math.isclose(squeezed_photon_cat_fidelity(0.0, 1e-150), 1.0, rel_tol=1e-12)
+    # below alpha ~ 1.5e-162 alpha^2 itself is 0, and the ratio 0/0: refused
+    for tiny in (1e-170, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="amplitude"):
+            squeezed_photon_cat_fidelity(0.1, tiny)
+        with pytest.raises(ValueError, match="amplitude"):
+            optimal_squeezing(tiny)
     assert math.isclose(fidelity_mixed(projector(fock_state(1)), cat_state(1e-9, PI)),
                         1.0, rel_tol=1e-12)
     assert cat_state(1e-9, PI).leakage < 1e-12
