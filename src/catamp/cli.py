@@ -189,10 +189,10 @@ def parse_config(path: str, parser: argparse.ArgumentParser) -> dict:
     """Flat key = value file; unknown keys are errors, not warnings.
 
     The keys are the subcommand ``parser``'s flags, ``--config`` aside,
-    spelled with ``_``; each value is cast and checked as its flag is.
+    spelled with ``_``; ``parser`` reads each value as ``--flag=value``.
     """
-    flags = {act.dest: act for act in parser._actions
-             if act.option_strings and act.dest not in ("help", "config")}
+    options = {act.dest: act.option_strings[0] for act in parser._actions
+               if act.option_strings and act.dest not in ("help", "config")}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -207,16 +207,12 @@ def parse_config(path: str, parser: argparse.ArgumentParser) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        flag = flags.get(key)
-        if flag is None:
+        if key not in options:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = (flag.type or str)(val)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        if flag.choices is not None and values[key] not in flag.choices:
-            raise ConfigError(f"{path}:{lineno}: {key} must be one of "
-                              f"{tuple(flag.choices)}, got {val!r}")
+            values[key] = getattr(parser.parse_args([f"{options[key]}={val}"]), key)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
@@ -278,7 +274,7 @@ def main(argv=None) -> int:
             args.parser.set_defaults(**parse_config(args.config, args.parser))
             args = parser.parse_args(argv)
         _emit(args.run(args), args)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ValueError as exc:  # ConfigError and the model's own checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DegenerateProbabilityError as exc:

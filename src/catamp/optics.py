@@ -89,9 +89,9 @@ def _mixing_basis(cutoff: int) -> _MixingBasis:
 
 
 def _parity(x: np.ndarray) -> int | None:
-    """0 or 1 when all columns of ``x`` are exactly zero at the other parity's
-    photon numbers, else None."""
-    if len(x) > 1 and x[0, 0] and x[1, 0]:  # column 0 holds both parities
+    """0 or 1 when ``x`` is a pure input (one column) that is exactly zero
+    at the other parity's photon numbers, else None."""
+    if x.shape[1] > 1:  # mixed sources and stage outputs hold both parities
         return None
     return 0 if not np.count_nonzero(x[1::2]) else 1 if not np.count_nonzero(x[::2]) else None
 
@@ -131,9 +131,9 @@ def _mix_pairs(theta: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rank. Row n of one table holds a[n] with each entry repeated r_b
     times, then, once the first factors are taken, b[n] tiled r_a times;
     its row c is zero, the entry a padding row of the layout reads.
-    U1 acts on both parities, or, if each input is exactly zero at one
-    parity's photon numbers as pure cats and squeezed states are, only on
-    the pair's total parity, whose rows alone are then nonzero. The first
+    U1 acts on both parities, or, if both inputs are pure and exactly zero
+    at one parity's photon numbers, as cats and squeezed states are, only
+    on the pair's total parity, whose rows alone are then nonzero. The first
     factors are taken into those rows at once. Per parity, the second
     factors are taken into the leading rows of the result and multiplied
     by the first factors there, and U1 mixes each group back over its own

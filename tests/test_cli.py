@@ -144,6 +144,30 @@ def test_config_file_parsing(tmp_path):
             parse_config(str(bad), amplify)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("format", "xml"), ("source", "bogus"), ("cutoff", "2"), ("cutoff", "100000"),
+    ("iterations", "2.5"), ("eta", "x"),
+])
+def test_config_values_get_their_flags_messages(tmp_path, capsys, key, value):
+    # a config value is read by its flag, so after path:line: it gets the
+    # message that `catamp amplify --flag=value` prints after error:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha_target = 1.0\n{key} = {value}\n")
+    assert main(["amplify", "--config", str(cfg)]) == 1
+    from_config = capsys.readouterr().err
+    assert main(["amplify", f"--{key}={value}"]) == 1
+    message = capsys.readouterr().err.removeprefix("error: ")
+    assert message.startswith(f"argument --{key}: ")
+    assert from_config == f"error: {cfg}:2: {message}"
+
+
+def test_config_keeps_values_that_begin_with_a_dash(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = -0.1\nout = -report.csv\n")
+    values = parse_config(str(cfg), _args("amplify").parser)
+    assert values == {"r": -0.1, "out": "-report.csv"}
+
+
 def test_config_keys_are_the_running_subcommands_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("iterations = 4\n")
@@ -236,6 +260,17 @@ def test_exit_codes(tmp_path, capsys):
     # so is a schedule deep enough that alpha_i ~ 1e-9 starves the herald
     assert main(["amplify", "--alpha-target", "2.0", "--iterations", "60"]) == 2
     assert capsys.readouterr().err.startswith("degenerate:")
+
+
+def test_main_lets_program_errors_propagate(monkeypatch):
+    # bad input raises ValueError (ConfigError is one) and exits 1; any
+    # other exception is a bug and keeps its traceback
+    def broken(args):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "cmd_fig3", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["fig3"])
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -54,3 +54,17 @@ def test_readme_lists_the_parsers_subcommands_and_shared_flags():
     flags = flags.split("\n\n", 1)[0]
     assert set(re.findall(r"`([^`]+)`", listed)) == set(subparsers.choices)
     assert {item.split()[0] for item in re.findall(r"`([^`]+)`", flags)} == shared
+
+
+def test_readme_lists_each_config_key():
+    # the config paragraph's key lists for amplify and fig4 are the
+    # option dests of those subcommands' parsers, help and config aside
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    text = README.read_text().split("Every subcommand takes `--config`", 1)[1]
+    listed = dict(re.findall(r"for `(\w+)`: ([^;)]*)", text.split("\n\n", 1)[0]))
+    assert sorted(listed) == ["amplify", "fig4"]
+    for name, keys in listed.items():
+        dests = {act.dest for act in subparsers.choices[name]._actions
+                 if act.option_strings} - {"help", "config"}
+        assert set(re.findall(r"`([^`]+)`", keys)) == dests, name

@@ -144,8 +144,9 @@ def _definite(rng, shape, parity, twist=False):
 @pytest.mark.parametrize("ranks", [(1, 1), (2, 3)])
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30])
 def test_mix_pairs_on_parity_definite_inputs_is_bit_for_bit(cutoff, ranks, kind):
-    # inputs of definite parity are mixed by the blocks of their total
-    # parity alone, and must not move a bit against both parities' blocks
+    # pure inputs of definite parity are mixed by the blocks of their
+    # total parity alone, mixed ones (more than one column) by both
+    # parities' blocks; neither may move a bit against the broadcast product
     rng = np.random.default_rng([cutoff, *ranks, 2])
     exact = not (cutoff == 1 and kind == "complex x complex")  # as above
     # at c = 1 there is no odd photon number
@@ -155,9 +156,12 @@ def test_mix_pairs_on_parity_definite_inputs_is_bit_for_bit(cutoff, ranks, kind)
         for theta in THETAS:
             _beam_splitter_blocks.cache_clear()
             got = _mix_pairs(theta, a, b)
-            # the pair took the set of its total parity: a hit, not a build
-            _beam_splitter_blocks(theta, cutoff, (pa + pb) % 2)
-            assert _hits_and_builds() == (1, 1)
+            # a pure pair took the set of its total parity, a mixed pair
+            # both sets: hits, not builds
+            parities = [(pa + pb) % 2] if ranks == (1, 1) else [0, 1]
+            for parity in parities:
+                _beam_splitter_blocks(theta, cutoff, parity)
+            assert _hits_and_builds() == (len(parities), len(parities))
             want = ref.mix_pairs_broadcast(theta, a, b)
             assert got.dtype == want.dtype == np.result_type(a, b)
             if exact:
@@ -167,9 +171,10 @@ def test_mix_pairs_on_parity_definite_inputs_is_bit_for_bit(cutoff, ranks, kind)
 
 
 def test_mix_pairs_with_one_parity_definite_input_takes_every_block():
-    # a pair that is not parity-definite builds the even set, then the odd
+    # a pure even input paired with one of both parities builds the even
+    # set, then the odd
     rng = np.random.default_rng(5)
-    even, mixed = _definite(rng, (12, 2), 0), rng.standard_normal((12, 3))
+    even, mixed = _definite(rng, (12, 1), 0), rng.standard_normal((12, 3))
     for a, b in ((even, mixed), (mixed, even)):
         _beam_splitter_blocks.cache_clear()
         got = _mix_pairs(FIFTY, a, b)
@@ -182,16 +187,18 @@ def test_mix_pairs_with_one_parity_definite_input_takes_every_block():
 @pytest.mark.parametrize("twist", [False, True])
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 30])
 def test_parity_path_matches_reference_expm(cutoff, twist):
-    # a parity-definite pair against the reference's dense per-block expm,
-    # which shares nothing with catamp's blocks; the other parity's rows
-    # are exact zeros
+    # a pure parity-definite pair, mixed by its total parity's blocks
+    # alone, against the reference's dense per-block expm, which shares
+    # nothing with catamp's blocks; the other parity's rows are exact zeros
     n = cutoff * cutoff
     rng = np.random.default_rng([cutoff, twist])
     for theta in THETAS:
         blocks = list(ref.beam_splitter_blocks(theta, cutoff))
         for pa, pb in ((0, 0), (1, 1), (0, 1)):
-            a, b = _definite(rng, (cutoff, 2), pa, twist), _definite(rng, (cutoff, 3), pb, twist)
+            a, b = _definite(rng, (cutoff, 1), pa, twist), _definite(rng, (cutoff, 1), pb, twist)
+            _beam_splitter_blocks.cache_clear()
             got = _mix_pairs(theta, a, b).reshape(n, -1)
+            assert _beam_splitter_blocks.cache_info().misses == 1
             pairs = (a[:, None, :, None] * b[None, :, None, :]).reshape(got.shape)
             for total, (flat, block) in enumerate(blocks):
                 if total % 2 == (pa + pb) % 2:
@@ -201,11 +208,11 @@ def test_parity_path_matches_reference_expm(cutoff, twist):
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 8, 30, 64])
-def test_spans_cover_the_layout_within_the_result(cutoff):
-    # the rows are laid out parity first: each parity's span of rows is
-    # contiguous, holds exactly that parity's states |k, N-k> and fits in
+def test_each_parity_fits_the_result(cutoff):
+    # the rows are laid out parity first: each parity's rows are
+    # contiguous, hold exactly that parity's states |k, N-k> and fit in
     # the c^2 rows of the result, whose leading rows hold its pairs while
-    # U1 mixes them; its groups tile it in order
+    # U1 mixes them; its groups tile them in order
     basis = _mixing_basis(cutoff)
     real = basis.first < cutoff  # padding rows read c
     assert [r.start for r in basis.rows] == [0, basis.rows[0].stop]
