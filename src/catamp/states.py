@@ -13,7 +13,8 @@ same digits in either dtype.
 The squeeze convention is exp(-(r/2)(a^2 - adag^2)), which for r > 0
 stretches a single photon into positive odd-photon-number coefficients;
 both squeezed states take r as a plain number, |r| <= MAX_SQUEEZE, and
-are its closed-form series, exact on the kept basis.
+expand its closed-form series by forward recurrence over the kept basis,
+as the coherent state does.
 """
 
 from __future__ import annotations
@@ -108,28 +109,20 @@ def cat_state(alpha: float, phi: float = math.pi,
 def _squeezed_series(r: float, k: int, cutoff: int) -> MultiModeState:
     """The squeezed number state |k>, k in {0, 1}, over |2n+k>.
 
-    Coefficients follow tanh(r)^n sqrt((2n+k)!) / (cosh(r)^{k+1/2} 2^n n!),
-    evaluated in log space to survive the factorials; amplitudes of the
-    other parity are exactly zero.
+    c_{2n+k} = tanh(r)^n sqrt((2n+k)!) / (cosh(r)^{k+1/2} 2^n n!), by forward
+    recurrence from c_k; tanh(r) < 0 alternates the signs, and the other
+    parity's amplitudes are exactly zero.
     """
     _check_level(k, cutoff)
     if not math.isfinite(r) or abs(r) > MAX_SQUEEZE:
         raise ValueError(f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZE}, got {r}")
     t = math.tanh(r)
     amp = np.zeros(cutoff)
-    if t == 0.0:
-        amp[k] = 1.0
-        return MultiModeState(amp)
-    ln_ch = math.log(math.cosh(r))
-    total = 0.0
-    for n in range((cutoff - 1 - k) // 2 + 1):
-        ln_c = (n * math.log(abs(t)) + 0.5 * math.lgamma(2 * n + k + 1)
-                - (k + 0.5) * ln_ch - n * math.log(2.0) - math.lgamma(n + 1))
-        sign = -1.0 if (t < 0.0 and n % 2 == 1) else 1.0
-        amp[2 * n + k] = sign * math.exp(ln_c)
-        total += math.exp(2.0 * ln_c)
-    deficit = max(0.0, 1.0 - total)
-    return MultiModeState(amp * (1.0 / math.sqrt(total)), leakage=deficit)
+    amp[k] = math.cosh(r) ** -(k + 0.5)
+    for m in range(k + 2, cutoff, 2):
+        amp[m] = amp[m - 2] * t * math.sqrt((m - 1) * m) / (m - k)
+    total = float(amp @ amp)
+    return MultiModeState(amp * (1.0 / math.sqrt(total)), leakage=max(0.0, 1.0 - total))
 
 
 def squeezed_photon(r: float, cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:

@@ -40,9 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 import circuit_reference as ref
-from catamp import (SourceModel, StageParams, amplify_once, best_schedule,
+from catamp import (Schedule, SourceModel, StageParams, amplify_once, best_schedule,
                     cat_state, fidelity_mixed, homodyne_error,
-                    optimal_squeezing, plan_schedule, prepare_source, projector,
+                    optimal_squeezing, prepare_source, projector,
                     run_schedule, squeezed_photon, squeezed_vacuum,
                     success_probability)
 from catamp.cli import _build_parser, cmd_purify, render_csv
@@ -109,7 +109,7 @@ def test_criterion_3_formula_simulation_equivalence():
         for b in amps:
             for pa in phases:
                 for pb in phases:
-                    stage = StageParams.plan(a, b, pa, pb)
+                    stage = StageParams(a, b, pa, pb)
                     res = amplify_once(cat_state(a, pa), cat_state(b, pb), stage)
                     worst_p = max(worst_p, abs(res.probability
                                                - success_probability(a, b, pa, pb)))
@@ -177,7 +177,7 @@ def test_criterion_5_purification_table():
     quoted = [(0.4, 0.60, 0.89, 5e-3), (0.25, 0.750, 0.941, 5e-4),
               (0.05, 0.950, 0.990, 5e-4)]
     r_star, _ = optimal_squeezing(0.5)
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     pure = {1: squeezed_photon(r_star), 0: squeezed_vacuum(r_star)}
     pairs = [(1, 1), (1, 0), (0, 1), (0, 0)]
     kernel = {}
@@ -219,7 +219,7 @@ def test_criterion_6_eta_robustness():
     etas = (0.1, 0.5, 1.0)
     ideal_f, ideal_p = [], []
     for eta in etas:
-        stage = StageParams.plan(a, a, PI, PI, eta=eta)
+        stage = StageParams(a, a, PI, PI, eta=eta)
         res = amplify_once(cat_state(a, PI), cat_state(a, PI), stage)
         ideal_f.append(res.fidelity)
         ideal_p.append(res.probability)
@@ -227,7 +227,7 @@ def test_criterion_6_eta_robustness():
     sp = squeezed_photon(r_star)
     approx_f = []
     for eta in etas:
-        stage = StageParams.plan(0.5, 0.5, PI, PI, eta=eta)
+        stage = StageParams(0.5, 0.5, PI, PI, eta=eta)
         approx_f.append(amplify_once(sp, sp, stage).fidelity)
     ideal_spread = max(ideal_f) - min(ideal_f)
     approx_spread = max(approx_f) - min(approx_f)
@@ -283,7 +283,7 @@ def test_criterion_8_property_suites():
         problems.append(f"covariance fidelity {worst_cov:.10f}")
 
     # parity selection after every stage of an ideal-input schedule
-    results = run_schedule(plan_schedule(2.0, 4), SourceModel("ideal-cat"))
+    results = run_schedule(Schedule(2.0, 4), SourceModel("ideal-cat"))
     for k, res in enumerate(results):
         _, vecs, _ = res.output.eigenbranches()
         wrong = vecs[0::2, 0] if k == 0 else vecs[1::2, 0]
@@ -292,8 +292,8 @@ def test_criterion_8_property_suites():
 
     # cutoff convergence of the headline schedule
     src = SourceModel("squeezed-photon")
-    f30 = run_schedule(plan_schedule(2.0, 4), src, cutoff=30)[-1].fidelity
-    f40 = run_schedule(plan_schedule(2.0, 4), src, cutoff=40)[-1].fidelity
+    f30 = run_schedule(Schedule(2.0, 4), src, cutoff=30)[-1].fidelity
+    f40 = run_schedule(Schedule(2.0, 4), src, cutoff=40)[-1].fidelity
     if abs(f30 - f40) > 1e-4:
         problems.append(f"cutoff drift {abs(f30 - f40):.2e}")
 
@@ -301,7 +301,7 @@ def test_criterion_8_property_suites():
     args = _build_parser().parse_args(["purify"])
     if render_csv(cmd_purify(args)) != render_csv(cmd_purify(args)):
         problems.append("purify table not reproducible")
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     m1 = amplify_once(cat_state(0.5, PI), cat_state(0.5, PI), stage).output.matrix
     m2 = amplify_once(cat_state(0.5, PI), cat_state(0.5, PI), stage).output.matrix
     if not np.array_equal(m1, m2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import StageParams, cat_state, plan_schedule
+from catamp import Schedule, StageParams, cat_state
 from catamp.detection import herald_operator
 from circuit_reference import coherent_state, fock_state
 
@@ -43,7 +43,7 @@ def test_detector_model_rejects_bad_efficiency():
         with pytest.raises(ValueError, match="efficiency"):
             StageParams(1.0, 1.0, math.pi, math.pi, eta)
         with pytest.raises(ValueError, match="efficiency"):
-            plan_schedule(2.0, 3, eta=eta)
+            Schedule(2.0, 3, eta=eta)
 
 
 @pytest.mark.parametrize("eta", [0.2, 0.6, 1.0])

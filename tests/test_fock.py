@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import circuit_reference as ref
-from catamp import (DensityOperator, MultiModeState, SourceModel, cat_state,
-                    fidelity_mixed, plan_schedule, prepare_source, projector,
+from catamp import (DensityOperator, MultiModeState, Schedule, SourceModel, cat_state,
+                    fidelity_mixed, prepare_source, projector,
                     run_schedule, squeezed_photon, squeezed_vacuum)
 from catamp.fock import EIGEN_FLOOR
 from catamp.protocol import SOURCE_KINDS
@@ -192,7 +192,7 @@ def _argsort_branches(rho):
 
 def _stage_outputs():
     """Every stage output of a mixed schedule whose input rank reaches 21."""
-    res = run_schedule(plan_schedule(2.5, 2), SourceModel("mixed-photon", p=0.15))
+    res = run_schedule(Schedule(2.5, 2), SourceModel("mixed-photon", p=0.15))
     return [r.output for r in res[1:]]
 
 
@@ -267,7 +267,7 @@ def test_real_parameters_give_float64_states_and_stage_outputs():
     assert mixed.matrix.dtype == np.float64
     for kind in SOURCE_KINDS:
         source = SourceModel(kind, p=0.2 if kind == "mixed-photon" else 0.0)
-        for res in run_schedule(plan_schedule(2.0, 3, eta=0.8), source):
+        for res in run_schedule(Schedule(2.0, 3, eta=0.8), source):
             assert res.output.matrix.dtype == np.float64, kind
 
 

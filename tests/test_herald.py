@@ -58,7 +58,7 @@ def test_herald_is_an_effect_with_its_root(eta, gamma):
 def test_dead_detectors_never_herald():
     pi = herald_operator(0.0, 1.4, 30)
     assert not pi.any()
-    stage = StageParams.plan(1.0, 1.0, PI, PI, eta=0.0)
+    stage = StageParams(1.0, 1.0, PI, PI, eta=0.0)
     with pytest.raises(DegenerateProbabilityError):
         amplify_once(cat_state(1.0, PI), cat_state(1.0, PI), stage)
 
@@ -70,14 +70,14 @@ def test_kernel_with_truncated_herald_reproduces_three_mode_route(case, monkeypa
     # the herald operator separates the two.
     cutoff = 20
     if case == "pure-unequal":
-        stage = StageParams.plan(1.2, 0.7, PI, 0.0, eta=0.6)
+        stage = StageParams(1.2, 0.7, PI, 0.0, eta=0.6)
         rho_a = projector(cat_state(1.2, PI, cutoff=cutoff))
         rho_b = projector(cat_state(0.7, 0.0, cutoff=cutoff))
     elif case == "pure-truncated":
-        stage = StageParams.plan(2.0, 2.0, PI, PI)
+        stage = StageParams(2.0, 2.0, PI, PI)
         rho_a = rho_b = projector(cat_state(2.0, PI, cutoff=cutoff))
     else:
-        stage = StageParams.plan(0.5, 0.5, PI, PI, eta=0.8)
+        stage = StageParams(0.5, 0.5, PI, PI, eta=0.8)
         r_star, _ = optimal_squeezing(0.5)
         rho_a = rho_b = prepare_source(SourceModel("mixed-photon", r=r_star, p=0.25), 0.5,
                                        cutoff=cutoff)

@@ -23,7 +23,7 @@ ROOT2 = math.sqrt(2.0)
 
 def test_stage_planner_invariants():
     for a, b in ((0.5, 0.5), (0.7, 1.1), (1.5, 0.3)):
-        st = StageParams.plan(a, b, PI, 0.0)
+        st = StageParams(a, b, PI, 0.0)
         big = math.hypot(a, b)
         assert abs(math.sin(st.mixing_angle) - b / big) < 1e-12
         assert abs(math.cos(st.mixing_angle) - a / big) < 1e-12
@@ -31,7 +31,7 @@ def test_stage_planner_invariants():
         assert abs(st.nominal_target.alpha - big) < 1e-12
         assert abs(st.nominal_target.phi - (PI % (2 * PI))) < 1e-12
     with pytest.raises(ValueError):
-        StageParams.plan(0.0, 0.0, PI, PI)
+        StageParams(0.0, 0.0, PI, PI)
 
 
 def test_stage_params_reject_bad_amplitudes_and_phases():
@@ -106,7 +106,7 @@ def test_success_probability_limits():
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.5), (2 ** -0.5, 1.0)])
 @pytest.mark.parametrize("phi_a,phi_b", [(PI, PI), (0.0, 0.0), (0.0, PI), (PI, 0.0)])
 def test_simulation_matches_closed_form(alpha, beta, phi_a, phi_b):
-    stage = StageParams.plan(alpha, beta, phi_a, phi_b)
+    stage = StageParams(alpha, beta, phi_a, phi_b)
     res = amplify_once(cat_state(alpha, phi_a), cat_state(beta, phi_b), stage)
     assert abs(res.probability - success_probability(alpha, beta, phi_a, phi_b)) < 1e-5
     assert res.fidelity >= 1 - 1e-5
@@ -118,7 +118,7 @@ def test_simulation_matches_closed_form(alpha, beta, phi_a, phi_b):
 def test_closed_form_probability_holds_at_the_top_of_the_regime(alpha, phi_a, phi_b):
     # the herald's auxiliary and detector modes are not truncated, so only
     # the inputs and U1's two output modes must fit the cutoff-30 basis
-    stage = StageParams.plan(alpha, alpha, phi_a, phi_b)
+    stage = StageParams(alpha, alpha, phi_a, phi_b)
     res = amplify_once(cat_state(alpha, phi_a, cutoff=30), cat_state(alpha, phi_b, cutoff=30),
                        stage)
     assert abs(res.probability - success_probability(alpha, alpha, phi_a, phi_b)) <= 1e-4
@@ -126,7 +126,7 @@ def test_closed_form_probability_holds_at_the_top_of_the_regime(alpha, phi_a, ph
 
 def test_amplify_once_ideal_cats_anchor():
     a = 2 ** -0.5
-    stage = StageParams.plan(a, a, PI, PI)
+    stage = StageParams(a, a, PI, PI)
     res = amplify_once(cat_state(a, PI), cat_state(a, PI), stage)
     assert res.fidelity >= 1 - 1e-6
     assert abs(res.probability - 0.2200) < 1e-4
@@ -137,7 +137,7 @@ def test_amplify_once_ideal_cats_anchor():
 def test_amplify_once_squeezed_photons():
     r_star, _ = optimal_squeezing(0.5)
     sp = squeezed_photon(r_star)
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     res = amplify_once(sp, sp, stage)
     assert res.fidelity > 0.99
     assert fidelity_mixed(res.output, cat_state(2 ** -0.5, 0.0)) > 0.99
@@ -145,7 +145,7 @@ def test_amplify_once_squeezed_photons():
 
 def test_missing_photon_branch_is_suppressed():
     r_star, _ = optimal_squeezing(0.5)
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     p_signal = amplify_once(squeezed_photon(r_star), squeezed_photon(r_star), stage).probability
     p_error = amplify_once(squeezed_photon(r_star), squeezed_vacuum(r_star), stage).probability
     assert p_error < 0.25 * p_signal
@@ -153,11 +153,11 @@ def test_missing_photon_branch_is_suppressed():
 
 def test_parity_bookkeeping():
     # odd x odd -> even output; even x odd -> odd output
-    stage = StageParams.plan(0.8, 0.8, PI, PI)
+    stage = StageParams(0.8, 0.8, PI, PI)
     res = amplify_once(cat_state(0.8, PI), cat_state(0.8, PI), stage)
     _, vecs, _ = res.output.eigenbranches()
     assert np.abs(vecs[1::2, 0]).max() < 1e-8
-    stage = StageParams.plan(0.8, 0.8, 0.0, PI)
+    stage = StageParams(0.8, 0.8, 0.0, PI)
     res = amplify_once(cat_state(0.8, 0.0), cat_state(0.8, PI), stage)
     _, vecs, _ = res.output.eigenbranches()
     assert np.abs(vecs[0::2, 0]).max() < 1e-8
@@ -195,7 +195,7 @@ def _assert_same_stage(real, cplx):
 @pytest.mark.parametrize("alpha,beta,eta", [(0.9, 1.3, 1.0), (2 ** -0.5, 2 ** -0.5, 0.6)])
 def test_real_and_complex_kernels_agree_on_pure_cats(alpha, beta, eta, kernel_dtypes):
     # a global phase forces the complex path and leaves rho unchanged
-    stage = StageParams.plan(alpha, beta, PI, 0.0, eta=eta)
+    stage = StageParams(alpha, beta, PI, 0.0, eta=eta)
     a, b = cat_state(alpha, PI), cat_state(beta, 0.0)
     real = amplify_once(a, b, stage)
     cplx = amplify_once(_twisted(a), _twisted(b), stage)
@@ -205,7 +205,7 @@ def test_real_and_complex_kernels_agree_on_pure_cats(alpha, beta, eta, kernel_dt
 
 def test_real_and_complex_kernels_agree_on_mixed_inputs(monkeypatch, kernel_dtypes):
     rho = prepare_source(SourceModel("mixed-photon", r=0.3, p=0.3), 0.6)
-    stage = StageParams.plan(0.6, 0.6, PI, PI, eta=0.8)
+    stage = StageParams(0.6, 0.6, PI, PI, eta=0.8)
     real = amplify_once(rho, rho, stage)
     branches = DensityOperator.eigenbranches
 
@@ -224,18 +224,18 @@ def test_real_inputs_run_the_stage_in_float64(kernel_dtypes):
     # every source the CLI offers is real, and so is every stage it feeds
     for kind in protocol.SOURCE_KINDS:
         source = SourceModel(kind, p=0.2 if kind == "mixed-photon" else 0.0)
-        run_schedule(plan_schedule(2.0, 3, eta=0.8), source)
+        run_schedule(Schedule(2.0, 3, eta=0.8), source)
     assert kernel_dtypes == [np.float64] * 9
 
 
 def test_amplify_once_degenerate_probability():
-    stage = StageParams.plan(1e-3, 1e-3, 0.0, 0.0)
+    stage = StageParams(1e-3, 1e-3, 0.0, 0.0)
     with pytest.raises(DegenerateProbabilityError):
         amplify_once(cat_state(1e-3, 0.0), cat_state(1e-3, 0.0), stage)
 
 
 def test_amplify_once_rejects_bad_inputs():
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     short = cat_state(0.5, PI, cutoff=20)
     with pytest.raises(ValueError):
         amplify_once(cat_state(0.5, PI, cutoff=30), short, stage)
@@ -280,7 +280,7 @@ def test_purification_raises_fidelity(p):
     r_star, _ = optimal_squeezing(0.5)
     rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=p), 0.5)
     f_init = fidelity_mixed(rho, cat_state(0.5, PI))
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     res = amplify_once(rho, rho, stage)
     assert res.fidelity > f_init
 
@@ -290,7 +290,7 @@ def test_purification_exact_propagation_values():
     # (cross-checked against an independent implementation at cutoff 40)
     expected = {0.4: 0.90624, 0.25: 0.94937, 0.05: 0.99159}
     r_star, _ = optimal_squeezing(0.5)
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     for p, f_after in expected.items():
         rho = prepare_source(SourceModel("mixed-photon", r=r_star, p=p), 0.5)
         res = amplify_once(rho, rho, stage)
@@ -304,7 +304,7 @@ def test_failed_herald_branches_explain_reference_purification_values():
     # propagation keeps their small even-parity admixture, which is why
     # the full simulation lands slightly higher.
     r_star, _ = optimal_squeezing(0.5)
-    stage = StageParams.plan(0.5, 0.5, PI, PI)
+    stage = StageParams(0.5, 0.5, PI, PI)
     s1, s0 = squeezed_photon(r_star), squeezed_vacuum(r_star)
     branches = {
         (1, 1): amplify_once(s1, s1, stage),
@@ -323,9 +323,14 @@ def test_failed_herald_branches_explain_reference_purification_values():
         assert abs(num / den - want) < 1.5e-3
 
 
+def test_aliases_equal_their_constructors():
+    # the benchmark's workloads call the aliases; the tests call the constructors
+    assert plan_schedule(2.0, 4, eta=0.8) == Schedule(2.0, 4, 0.8)
+    assert StageParams.plan(0.7, 1.1, PI, 0.0, eta=0.6) == StageParams(0.7, 1.1, PI, 0.0, 0.6)
+
+
 def test_plan_schedule_chain_consistency():
-    sched = plan_schedule(2.0, 4)
-    assert sched == Schedule(2.0, 4)
+    sched = Schedule(2.0, 4)
     assert len(sched.stages) == 4
     assert abs(sched.alpha_i - 0.5) < 1e-12
     for k, stage in enumerate(sched.stages):
@@ -340,23 +345,23 @@ def test_plan_schedule_chain_consistency():
 def test_schedule_rejects_bad_plans():
     for target in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="target"):
-            plan_schedule(target, 2)
+            Schedule(target, 2)
     with pytest.raises(ValueError, match="iteration"):
         Schedule(2.0, -1)
     for count in (1.5, 2.0):
         with pytest.raises(ValueError, match="iteration"):
-            plan_schedule(2.0, count)
+            Schedule(2.0, count)
     # sqrt(2)^3000 overflows, and the stage-0 amplitude of an infinite
     # target is no amplitude either
     for target, count in ((2.0, 3000), (math.inf, 2)):
         with pytest.raises(ValueError, match="stage-0 amplitude"):
             Schedule(target, count)
     assert Schedule(2.0, 2000).alpha_i > 0.0
-    assert plan_schedule(2.0, 0).stages == ()
+    assert Schedule(2.0, 0).stages == ()
 
 
 def test_run_schedule_zero_iterations_echoes_source():
-    res = run_schedule(plan_schedule(0.5, 0), SourceModel("squeezed-photon"))
+    res = run_schedule(Schedule(0.5, 0), SourceModel("squeezed-photon"))
     assert len(res) == 1
     assert res[0].probability == 1.0
     assert abs(res[0].fidelity - 0.99999) < 1e-4
@@ -364,19 +369,19 @@ def test_run_schedule_zero_iterations_echoes_source():
 
 
 def test_run_schedule_ideal_cats_stay_ideal():
-    res = run_schedule(plan_schedule(2.0, 4), SourceModel("ideal-cat"))
+    res = run_schedule(Schedule(2.0, 4), SourceModel("ideal-cat"))
     assert len(res) == 5
     for r in res:
         assert r.fidelity >= 1 - 1e-5
     # the 2*sqrt(2) target exceeds what cutoff 30 resolves in the rejected
     # branches of the last stage; cutoff 40 restores the ideal behavior
-    res = run_schedule(plan_schedule(2 * ROOT2, 4), SourceModel("ideal-cat"), cutoff=40)
+    res = run_schedule(Schedule(2 * ROOT2, 4), SourceModel("ideal-cat"), cutoff=40)
     for r in res:
         assert r.fidelity >= 1 - 1e-5
 
 
 def test_run_schedule_reproduces_reference_anchor():
-    res = run_schedule(plan_schedule(2.0, 4), SourceModel("squeezed-photon"))
+    res = run_schedule(Schedule(2.0, 4), SourceModel("squeezed-photon"))
     assert abs(res[-1].fidelity - 0.995) < 0.003
 
 
@@ -390,7 +395,7 @@ def test_pure_source_feeds_the_first_stage_without_an_eigendecomposition(monkeyp
         return branches(self)
 
     monkeypatch.setattr(DensityOperator, "eigenbranches", spy)
-    res = run_schedule(plan_schedule(2.0, 4), SourceModel("squeezed-photon"))
+    res = run_schedule(Schedule(2.0, 4), SourceModel("squeezed-photon"))
     assert len(calls) == 3
     assert all(rho is r.output for rho, r in zip(calls, res[1:4]))
 
@@ -401,9 +406,9 @@ def test_schedules_report_their_source_truncation_at_the_first_stage():
     l1, l0, p = squeezed_photon(1.0).leakage, squeezed_vacuum(1.0).leakage, 0.3
     want = (1.0 - p) * l1 + p * l0
     assert abs(want - 6.169e-4) < 1e-7 and abs(l1 - 8.553e-4) < 1e-7
-    mixed = run_schedule(plan_schedule(2.0, 4), SourceModel("mixed-photon", r=1.0, p=p))
+    mixed = run_schedule(Schedule(2.0, 4), SourceModel("mixed-photon", r=1.0, p=p))
     assert [r.leakage_warning for r in mixed[:2]] == [want, want]
-    pure = run_schedule(plan_schedule(2.0, 4), SourceModel("squeezed-photon", r=1.0))
+    pure = run_schedule(Schedule(2.0, 4), SourceModel("squeezed-photon", r=1.0))
     assert [r.leakage_warning for r in pure[:2]] == [l1, l1]
 
 
@@ -452,7 +457,7 @@ def test_best_schedule_refuses_a_non_integer_iteration_count(max_n):
 
 def test_stage_fidelity_is_judged_against_the_cached_target_cat():
     protocol._target_cat.cache_clear()
-    res = run_schedule(plan_schedule(2.0, 4), SourceModel("mixed-photon", p=0.2))
+    res = run_schedule(Schedule(2.0, 4), SourceModel("mixed-photon", p=0.2))
     keys = set()
     for r in res:
         t, c = r.nominal_target, r.output.cutoff
@@ -515,7 +520,7 @@ def test_closed_forms_survive_vanishing_amplitudes():
     assert cat_state(1e-9, PI).leakage < 1e-12
     # two tiny odd cats are |1>|1>: P -> a^2 b^2 / (a^2 + b^2)^2 = 1/4
     tiny = cat_state(1e-9, PI)
-    sim = amplify_once(tiny, tiny, StageParams.plan(1e-9, 1e-9, PI, PI)).probability
+    sim = amplify_once(tiny, tiny, StageParams(1e-9, 1e-9, PI, PI)).probability
     for p in (success_probability(1e-9, 1e-9, PI, PI), sim):
         assert math.isclose(p, 0.25, rel_tol=1e-12)
 
@@ -562,7 +567,7 @@ def test_eta_invariance_for_ideal_inputs():
     a = 2 ** -0.5
     fids, probs = [], []
     for eta in (0.1, 0.5, 1.0):
-        stage = StageParams.plan(a, a, PI, PI, eta=eta)
+        stage = StageParams(a, a, PI, PI, eta=eta)
         res = amplify_once(cat_state(a, PI), cat_state(a, PI), stage)
         fids.append(res.fidelity)
         probs.append(res.probability)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from circuit_reference import coherent_state, fock_state
 # and both signs; the reference is the matrix exponential at cutoff 120,
 # cut to the first 30 levels and renormalised
 WIDE_EXPM_R = (0.083, 0.6, 1.07, -0.7)
+
+# r in steps of 0.05 over the whole allowed range, and cat amplitudes
+# 0.1 ... 4.0, for the exact-arithmetic check
+EXACT_R = [i / 20 for i in range(-40, 41)]
+EXACT_ALPHA = [i / 10 for i in range(1, 41)]
 
 
 def test_fock_state_basis_vectors():
@@ -172,3 +178,43 @@ def test_constructors_refuse_bad_cutoff_or_amplitude(build, args, kwargs):
     # a warning or an IndexError on the way would fail this test
     with pytest.raises(ValueError):
         build(*args, **kwargs)
+
+
+def _exact_squeezed(r, k, cutoff):
+    # tanh(r)^n sqrt((2n+k)!) / (cosh(r)^{k+1/2} 2^n n!) over |2n+k>, from
+    # the same float tanh(r) and cosh(r); Decimal(0) ** 0 raises, so t^0 is 1
+    t, ch = Decimal(math.tanh(r)), Decimal(math.cosh(r))
+    amp = [Decimal(0)] * cutoff
+    for n in range((cutoff - 1 - k) // 2 + 1):
+        tn = t ** n if n else Decimal(1)
+        amp[2 * n + k] = (tn * Decimal(math.factorial(2 * n + k)).sqrt()
+                          / (ch ** k * ch.sqrt() * 2 ** n * math.factorial(n)))
+    return amp
+
+
+def _exact_cat(alpha, sign, cutoff):
+    # alpha^n / sqrt(n!) (1 + sign (-1)^n); e^{-alpha^2/2} cancels in the norm
+    a = Decimal(alpha)
+    return [a ** n / Decimal(math.factorial(n)).sqrt() * (1 + sign * (-1) ** n)
+            for n in range(cutoff)]
+
+
+@pytest.mark.parametrize("cutoff", [8, 30, 64])
+@pytest.mark.parametrize("build,params,exact", [
+    (squeezed_photon, EXACT_R, lambda r, c: _exact_squeezed(r, 1, c)),
+    (squeezed_vacuum, EXACT_R, lambda r, c: _exact_squeezed(r, 0, c)),
+    (lambda a, c: cat_state(a, math.pi, c), EXACT_ALPHA, lambda a, c: _exact_cat(a, -1, c)),
+    (lambda a, c: cat_state(a, 0.0, c), EXACT_ALPHA, lambda a, c: _exact_cat(a, 1, c)),
+], ids=["squeezed-photon", "squeezed-vacuum", "odd-cat", "even-cat"])
+def test_constructors_match_exact_arithmetic(build, params, exact, cutoff):
+    # the normalized expansion evaluated at 50 digits from the package's
+    # own float inputs; every kept amplitude within 1e-15 of it (the
+    # package refuses none of these states)
+    for x in params:
+        got = build(x, cutoff).amplitudes
+        with localcontext() as ctx:
+            ctx.prec = 50
+            amp = exact(x, cutoff)
+            norm = sum(a * a for a in amp).sqrt()
+            want = np.array([float(a / norm) for a in amp])
+        assert np.abs(got - want).max() <= 1e-15, x
