@@ -24,8 +24,7 @@ from .states import cat_state
 # a full-rank complex mixed input makes a c^2 x c^2 complex128 array
 # of branch pairs (16 cutoff^4 bytes; real inputs need 8 cutoff^4);
 # 64 is the largest cutoff at which the complex array fits in 256 MiB.
-# While U1 mixes them, its padded layout adds rows: 4544 instead of
-# 4096 at c = 64.
+# While U1 mixes them, optics holds one more array of at least that size.
 MAX_CUTOFF = 64
 
 

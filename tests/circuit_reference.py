@@ -15,13 +15,8 @@ closed-form squeezed states.
 
 Splitters are named by their mixing angle theta: reflectivity
 sin(theta), transmittivity cos(theta). From catamp come only
-``MultiModeState``, the container the states are returned in, their
-default cutoff and the pieces named below. ``apply_beam_splitter`` is
-no reference: it drives catamp's own U1 on flat two-mode amplitudes, for
-the tests that check it against this module. Nor are ``apply_blocks`` and
-``mix_pairs_broadcast``: they are catamp's grouped U1 driven the plain
-way, one broadcast product of the pairs mixed into a new array, which
-``_mix_pairs`` must reproduce bit for bit.
+``MultiModeState``, the container the states are returned in, and their
+default cutoff.
 """
 
 import math
@@ -31,7 +26,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from catamp.fock import DEFAULT_CUTOFF, MultiModeState
-from catamp.optics import _beam_splitter_blocks, _mix_pairs, _mixing_basis
 
 FIFTY = math.pi / 4
 
@@ -91,50 +85,6 @@ def beam_splitter_unitary(theta, cutoff):
     for flat, block in beam_splitter_blocks(theta, cutoff):
         u[np.ix_(flat, flat)] = block
     return u
-
-
-def apply_beam_splitter(theta, x):
-    """catamp's U1 of mixing angle ``theta`` applied to the c^2 rows of
-    ``x``, one flattened two-mode amplitude vector or a c^2 x k array of
-    them as columns, the first mode the slower half of the flat index.
-    Real input gives a float64 result and complex input a complex128
-    one. U1 is taken as the c^2 x c^2 matrix of catamp's images of the
-    number states |i>|j>, the products of the identity's columns."""
-    x = np.asarray(x)
-    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
-    c = math.isqrt(x.shape[0]) if x.ndim in (1, 2) else 0
-    if c == 0 or c * c != x.shape[0]:
-        raise ValueError(f"expected c^2 rows of two-mode amplitudes, got shape {x.shape}")
-    return _mix_pairs(theta, np.eye(c), np.eye(c)).reshape(c * c, c * c) @ x
-
-
-def apply_blocks(theta, cutoff, y):
-    """catamp's U1 blocks of both parities on the rows of ``y``, amplitudes
-    in the parity-first layout of ``_mixing_basis(cutoff)``, returned as
-    a new array; complex rows are mixed as their real and imaginary parts."""
-    basis = _mixing_basis(cutoff)
-    out = np.empty(y.shape, dtype=y.dtype)
-    for parity, rows in enumerate(basis.rows):
-        parts, mixed = y[rows].view(np.float64), out[rows].view(np.float64)
-        for (local, *_), b in zip(basis.groups[parity],
-                                  _beam_splitter_blocks(theta, cutoff, parity)):
-            shape = (b.shape[0], b.shape[1], -1)
-            np.matmul(b, parts[local].reshape(shape), out=mixed[local].reshape(shape))
-    return out
-
-
-def mix_pairs_broadcast(theta, a, b):
-    """``_mix_pairs`` as one broadcast product: the columns of ``a`` and
-    ``b`` over an appended zero row, gathered into the parity-first layout
-    and multiplied pair by pair, mixed by ``apply_blocks`` and gathered
-    back to the c x c x (r_a r_b) mode grid."""
-    c = a.shape[0]
-    basis = _mixing_basis(c)
-    pa = np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])
-    pb = np.concatenate([b, np.zeros((1, b.shape[1]), dtype=b.dtype)])
-    pairs = (pa[basis.first][:, :, None] * pb[basis.second][:, None, :]).reshape(
-        len(basis.first), -1)
-    return apply_blocks(theta, c, pairs)[basis.inverse].reshape(c, c, -1)
 
 
 def apply_two_mode(u, psi, m1, m2):

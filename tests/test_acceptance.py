@@ -47,6 +47,7 @@ from catamp import (Schedule, SourceModel, StageParams, amplify_once, best_sched
                     success_probability)
 from catamp.cli import _build_parser, cmd_purify, render_csv
 from catamp.detection import herald_operator
+from catamp.optics import _mix_pairs
 
 PI = math.pi
 ROOT2 = math.sqrt(2.0)
@@ -271,9 +272,8 @@ def test_criterion_8_property_suites():
     worst_cov = 1.0
     for a in np.linspace(-1.5, 1.5, 5):
         for b in np.linspace(-1.5, 1.5, 5):
-            psi2 = ref.apply_beam_splitter(math.atan2(r, t),
-                                           np.kron(ref.coherent_state(a).amplitudes,
-                                                   ref.coherent_state(b).amplitudes))
+            psi2 = _mix_pairs(math.atan2(r, t), ref.coherent_state(a).amplitudes[:, None],
+                              ref.coherent_state(b).amplitudes[:, None]).ravel()
             want_a = t * a + r * b
             want_b = -r * a + t * b
             want = np.kron(ref.coherent_state(want_a).amplitudes,
