@@ -1,11 +1,14 @@
 """U1, ``optics._mix_pairs``, against the reference's dense per-block
 ``expm`` and against its own recorded output bytes.
 
-The ``expm`` tests hold every output to round-off. The digest test holds
+The ``expm`` tests hold every output to round-off. The digest tests hold
 it to the bit: ``golden/mix_pairs.json`` keeps, per case of ``CASES``,
 the sha256 of every output ``_mix_pairs`` gave on that case's inputs when
-the file was recorded, on the recording machine's numpy and BLAS. A
-change meant to move bits (a new block arithmetic) records the file
+the file was recorded, on the recording machine's numpy and BLAS. When
+it was first recorded, every output equalled, byte for byte, one
+broadcast product of the columns mixed into a new array by the dense
+per-block U1, but for the last bit of c = 1 complex x complex products.
+A change meant to move bits (a new block arithmetic) records the file
 again with ``python tests/test_optics.py`` and says so.
 """
 
@@ -141,32 +144,42 @@ def test_blocks_match_reference_expm_matrix(cutoff, theta):
 
 KINDS = {"real x real": (False, False), "complex x real": (True, False),
          "real x complex": (False, True), "complex x complex": (True, True)}
-# case id: cutoff, the ranks of a and b, and whether each is complex
-CASES = {f"{c}-{ra}x{rb}-{kind}": (c, (ra, rb), KINDS[kind])
-         for c in (1, 2, 3, 8, 30, 64)
-         for ra, rb in ((1, 1), (2, 3), (3, 2), (5, 5), (11, 11))
-         for kind in sorted(KINDS)}
+RANKS = [(1, 1), (2, 3), (3, 2), (5, 5), (11, 11)]
+CUTOFFS = [1, 2, 3, 8, 30, 64]
+# every case of the two digest tests, as (inputs, cutoff, ranks, kind):
+# random columns of both parities at every rank, and columns of definite
+# parity at ranks 1 x 1 and 2 x 3
+CASES = ([("product", c, ranks, kind) for c in CUTOFFS for ranks in RANKS
+          for kind in sorted(KINDS)]
+         + [("definite", c, ranks, kind) for c in CUTOFFS for ranks in RANKS[:2]
+            for kind in sorted(KINDS)])
 
 
-@cache  # the recording test reuses the digest test's digests
-def _digest(case):
+def _case_id(inputs, cutoff, ranks, kind):
+    """One case's key in the digest file, e.g. ``product 8-2x3-real x real``."""
+    return f"{inputs} {cutoff}-{ranks[0]}x{ranks[1]}-{kind}"
+
+
+@cache  # the recording test reuses the digest tests' digests
+def _digest(inputs, cutoff, ranks, kind):
     """sha256 of every output of ``_mix_pairs`` on one case, at each angle
-    of THETAS: first on random columns of both parities, then, at ranks
-    1 x 1 and 2 x 3, on columns of definite parity: even x even, odd x
-    odd, even x odd and odd x even (at c = 1, which has no odd photon
-    number, even x even alone). Each output has the dtype of a product of
-    the inputs and the c x c x (r_a r_b) shape. A parity-definite pair
-    takes the block set of its total parity when both inputs are pure,
-    else both sets: hits, not builds."""
-    cutoff, ranks, twists = CASES[case]
-    rng = np.random.default_rng([cutoff, *ranks])
-    inputs = [([_columns(rng, cutoff, r, t) for r, t in zip(ranks, twists)], None)]
-    if ranks in ((1, 1), (2, 3)):
-        for parities in ((0, 0), (1, 1), (0, 1), (1, 0))[:1 if cutoff == 1 else 4]:
-            pair = [_columns(rng, cutoff, r, t, p) for r, t, p in zip(ranks, twists, parities)]
-            inputs.append((pair, [sum(parities) % 2] if ranks == (1, 1) else [0, 1]))
+    of THETAS. ``product`` inputs are random columns of both parities;
+    ``definite`` ones are even x even, odd x odd, even x odd and odd x even
+    columns (at c = 1, which has no odd photon number, even x even alone).
+    Each output has the dtype of a product of the inputs and the
+    c x c x (r_a r_b) shape. A parity-definite pair takes the block set of
+    its total parity when both inputs are pure, else both sets: hits, not
+    builds."""
+    rng = np.random.default_rng([cutoff, *ranks] + ([2] if inputs == "definite" else []))
+    twists = KINDS[kind]
+    if inputs == "product":
+        pairs = [([_columns(rng, cutoff, r, t) for r, t in zip(ranks, twists)], None)]
+    else:
+        pairs = [([_columns(rng, cutoff, r, t, p) for r, t, p in zip(ranks, twists, parities)],
+                  [sum(parities) % 2] if ranks == (1, 1) else [0, 1])
+                 for parities in ((0, 0), (1, 1), (0, 1), (1, 0))[:1 if cutoff == 1 else 4]]
     digest = hashlib.sha256()
-    for (a, b), sets in inputs:
+    for (a, b), sets in pairs:
         for theta in THETAS:
             _beam_splitter_blocks.cache_clear()
             got = _mix_pairs(theta, a, b)
@@ -180,22 +193,41 @@ def _digest(case):
     return digest.hexdigest()
 
 
+@cache
+def _recorded():
+    return json.loads(DIGESTS.read_text())
+
+
 def _record(path):
     """Write every case's digest to ``path`` as sorted JSON."""
-    digests = {case: _digest(case) for case in CASES}
+    digests = {_case_id(*case): _digest(*case) for case in CASES}
     path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 
 def test_digest_file_names_exactly_the_cases():
     # a case added or dropped without recording the file again fails here
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted(CASES)
+    assert sorted(_recorded()) == sorted(_case_id(*case) for case in CASES)
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_mix_pairs_matches_its_recorded_bytes(case):
-    # any byte of any output that moves fails its case, whatever the
-    # row layout inside optics
-    assert _digest(case) == json.loads(DIGESTS.read_text()).get(case)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("ranks", RANKS)
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_mix_pairs_reproduces_the_broadcast_product_bit_for_bit(cutoff, ranks, kind):
+    # any byte of any output that moves fails its case, whatever the row
+    # layout inside optics
+    case = ("product", cutoff, ranks, kind)
+    assert _digest(*case) == _recorded().get(_case_id(*case))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("ranks", RANKS[:2])
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_mix_pairs_on_parity_definite_inputs_is_bit_for_bit(cutoff, ranks, kind):
+    # pure inputs of definite parity are mixed by the blocks of their total
+    # parity alone, mixed ones by both parities' blocks; neither may move a
+    # byte against the recorded outputs
+    case = ("definite", cutoff, ranks, kind)
+    assert _digest(*case) == _recorded().get(_case_id(*case))
 
 
 def test_recording_again_writes_the_same_bytes(tmp_path):
