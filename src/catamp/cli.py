@@ -100,10 +100,11 @@ def cmd_fig2(args: argparse.Namespace) -> Table:
     for a in ALPHA_GRID:
         row = [a]
         row += [_unit(success_probability(a, a, pa, pb)) for _, pa, pb in phases]
+        # each cat is built once per alpha; an equal-phase pair feeds one
+        # state to both ports
+        cats = {phi: cat_state(a, phi, cutoff=args.cutoff) for phi in (0.0, math.pi)}
         for _, pa, pb in phases:
-            stage = StageParams(a, a, pa, pb, args.eta)
-            res = amplify_once(cat_state(a, pa, cutoff=args.cutoff),
-                               cat_state(a, pb, cutoff=args.cutoff), stage)
+            res = amplify_once(cats[pa], cats[pb], StageParams(a, a, pa, pb, args.eta))
             row.append(_unit(res.probability))
         rows.append(row)
     cols = (["alpha"] + [f"p_{n}" for n, _, _ in phases]

@@ -157,12 +157,11 @@ class Schedule:
 
     @property
     def stages(self) -> tuple[StageParams, ...]:
-        alpha_i, stages = self.alpha_i, []
-        phase = math.pi
+        stages, phase = [], math.pi
         for k in range(self.n_iterations):
-            amp = alpha_i * math.sqrt(2.0) ** k
+            amp = self.alpha_i * math.sqrt(2.0) ** k
             stages.append(StageParams(amp, amp, phase, phase, self.eta))
-            phase = (2.0 * phase) % (2.0 * math.pi)
+            phase = stages[-1].nominal_target.phi
         return tuple(stages)
 
 
@@ -239,8 +238,7 @@ def _judged(output: DensityOperator, probability: float, target: CatSpec,
     and ``leak`` as a warning when it passes ``LEAKAGE_WARN``, else 0.0.
     The target is the shared ``cat_state(target.alpha, target.phi,
     cutoff)`` that ``_target_cat`` builds once, so a schedule rerun or a
-    sweep that revisits a target does not expand its coherent states
-    again."""
+    sweep that revisits a target does not build its cat again."""
     target_cat = _target_cat(target.alpha, target.phi, output.cutoff)
     return IterationResult(
         output=output,

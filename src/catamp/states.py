@@ -13,8 +13,9 @@ same digits in either dtype.
 The squeeze convention is exp(-(r/2)(a^2 - adag^2)), which for r > 0
 stretches a single photon into positive odd-photon-number coefficients;
 both squeezed states take r as a plain number, |r| <= MAX_SQUEEZE, and
-expand its closed-form series by forward recurrence over the kept basis,
-as the coherent state does.
+expand its closed-form series by forward recurrence over the kept basis.
+A cat expands its coherent state |alpha> the same way, once: |-alpha> is
+that expansion with its odd entries negated.
 """
 
 from __future__ import annotations
@@ -69,32 +70,27 @@ def _check_level(n: int, cutoff: int) -> None:
         raise ValueError(f"photon number {n} outside truncated basis [0, {cutoff})")
 
 
-def _coherent_amplitudes(alpha: float, cutoff: int) -> np.ndarray:
-    # c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), by stable recurrence
-    _check_level(0, cutoff)
-    if abs(alpha) > _NULL_COHERENT:
-        raise ValueError(f"coherent amplitude {alpha} underflows to the null vector")
-    amp = np.zeros(cutoff)
-    amp[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff):
-        amp[n] = amp[n - 1] * alpha * (1.0 / math.sqrt(n))
-    return amp
-
-
 def cat_state(alpha: float, phi: float = math.pi,
               cutoff: int = DEFAULT_CUTOFF) -> MultiModeState:
     """Normalized |alpha> + e^{i phi}|-alpha>.
 
-    The normalization is numerical, so the state has unit norm within
-    the truncated basis even where the closed-form factor would not.
+    |alpha> is expanded once, c_n = e^{-alpha^2/2} alpha^n / sqrt(n!) by
+    forward recurrence; |-alpha> is the same expansion with its odd
+    entries negated, which is exact. The normalization is numerical, so
+    the state has unit norm within the truncated basis even where the
+    closed-form factor would not.
     """
     alpha = float(alpha)
     CatSpec(alpha, phi)  # validate
+    _check_level(0, cutoff)
+    if alpha > _NULL_COHERENT:
+        raise ValueError(f"coherent amplitude {alpha} underflows to the null vector")
     ph = _phase_factor(phi)
-    if alpha == 0.0 and ph == -1.0:
-        raise ValueError("alpha = 0 with phi = pi names the null vector")
-    plus = _coherent_amplitudes(alpha, cutoff)
-    minus = _coherent_amplitudes(-alpha, cutoff)
+    plus = np.zeros(cutoff)
+    plus[0] = math.exp(-0.5 * alpha ** 2)
+    for n in range(1, cutoff):
+        plus[n] = plus[n - 1] * alpha * (1.0 / math.sqrt(n))
+    minus = plus * (-1.0) ** np.arange(cutoff)
     amp = plus + ph * minus
     nsq = float(np.vdot(amp, amp).real)
     if nsq <= 0.0:

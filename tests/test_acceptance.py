@@ -52,16 +52,12 @@ from catamp.optics import _mix_pairs
 PI = math.pi
 ROOT2 = math.sqrt(2.0)
 
-_failures = []
-
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {name}"
     if detail:
         line += f" ({detail})"
     print(line)
-    if not ok:
-        _failures.append(line)
     assert ok, line
 
 

@@ -80,6 +80,9 @@ def test_amplify_zero_iterations_echo():
     assert stage == 0 and prob == 1.0
     assert abs(alpha - 0.5) < 1e-12 and abs(phi - math.pi) < 1e-12
     assert abs(fid - 0.99999) < 1e-4
+    assert "r" not in table.meta  # the optimal r is not echoed
+    table = cmd_amplify(_args("amplify", "--alpha-target", "0.5", "--r", "0.1"))
+    assert table.meta["r"] == 0.1 and "# r = 0.1\n" in render_csv(table)
 
 
 def test_amplify_matches_formula_for_ideal_source():
@@ -134,8 +137,13 @@ def test_config_file_parsing(tmp_path):
     assert values == {"alpha_target": 1.0, "iterations": 2,
                       "source": "squeezed-photon", "cutoff": 24}
     bad = tmp_path / "bad.cfg"
+    with pytest.raises(ConfigError, match="cannot read config"):
+        parse_config(str(bad), amplify)  # not written yet
     bad.write_text("alpha_target = 1.0\ntypo_key = 3\n")
     with pytest.raises(ConfigError):
+        parse_config(str(bad), amplify)
+    bad.write_text("alpha_target 1.0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{bad}:1: expected 'key = value'")):
         parse_config(str(bad), amplify)
     # a value outside its flag's choices or range is refused where it stands
     for line in ("format = xml", "source = bogus", "cutoff = 2", "cutoff = 100000"):

@@ -239,6 +239,11 @@ def test_amplify_once_rejects_bad_inputs():
     short = cat_state(0.5, PI, cutoff=20)
     with pytest.raises(ValueError):
         amplify_once(cat_state(0.5, PI, cutoff=30), short, stage)
+    # an input that is no state is refused by the port it was given to
+    with pytest.raises(TypeError, match="first input"):
+        amplify_once(short.amplitudes, short, stage)
+    with pytest.raises(TypeError, match="second input"):
+        amplify_once(short, projector(short).matrix, stage)
     # a half-trace input is refused where it would be built
     with pytest.raises(ValueError, match="trace"):
         DensityOperator(0.5 * projector(cat_state(0.5, PI)).matrix)
@@ -545,6 +550,10 @@ def test_optimal_squeezing_matches_quoted_points():
         slope = (squeezed_photon_cat_fidelity(r_star + h, alpha)
                  - squeezed_photon_cat_fidelity(r_star - h, alpha)) / (2 * h)
         assert abs(slope) < 1e-8
+    # the optimizer stops where the validated regime does
+    for bad in (0.0, protocol.MAX_ALPHA + 0.1, math.nan):
+        with pytest.raises(ValueError, match="validated regime"):
+            optimal_squeezing(bad)
 
 
 def test_homodyne_error_against_gaussian_overlap():

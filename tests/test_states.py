@@ -7,6 +7,7 @@ import pytest
 import circuit_reference as ref
 from catamp import (CatSpec, cat_state, fidelity_mixed, projector, squeezed_photon,
                     squeezed_vacuum)
+from catamp.states import _phase_factor
 from circuit_reference import coherent_state, fock_state
 
 # r of the purification table (0.083), the optimum for alpha = 2.5 (1.07),
@@ -54,6 +55,35 @@ def test_cat_state_matches_closed_form_coherent_sum(phi, cutoff):
         assert diff.max() <= 1e-13, alpha
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 8, 30, 64])
+def test_cat_state_is_the_two_expansion_sum_bit_for_bit(cutoff):
+    # cat_state derives |-alpha> from |alpha>'s expansion; it must give the
+    # bytes of the sum of two separate recurrences, one run at -alpha. The
+    # goldens hold only phases 0 and pi, so three other phases are pinned
+    # here. A sum that is the null vector (an odd cat at cutoff 1) is refused.
+    def coherent(x):
+        amp = np.zeros(cutoff)
+        amp[0] = math.exp(-0.5 * abs(x) ** 2)
+        for n in range(1, cutoff):
+            amp[n] = amp[n - 1] * x * (1.0 / math.sqrt(n))
+        return amp
+
+    cases = [(0.0, 0.0)] + [(alpha, phi) for alpha in (0.02, 1.3, 7.5)
+                            for phi in (0.0, math.pi, 0.4, math.pi / 2, 5.0)]
+    for alpha, phi in cases:
+        amp = coherent(alpha) + _phase_factor(phi) * coherent(-alpha)
+        nsq = float(np.vdot(amp, amp).real)
+        if nsq == 0.0:
+            with pytest.raises(ValueError):
+                cat_state(alpha, phi, cutoff)
+            continue
+        want = amp * (1.0 / math.sqrt(nsq))
+        got = cat_state(alpha, phi, cutoff).amplitudes
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (alpha, phi)
+    with pytest.raises(ValueError):
+        cat_state(0.0, math.pi, cutoff)
+
+
 def test_cat_state_parity_zeros_are_exact():
     odd = cat_state(0.9, math.pi)
     even = cat_state(0.9, 0.0)
@@ -71,6 +101,8 @@ def test_cat_state_null_vector_rejected():
         cat_state(0.0, math.pi)
     with pytest.raises(ValueError):
         CatSpec(-0.5, 0.0)
+    with pytest.raises(ValueError, match="phase"):
+        CatSpec(1.0, math.nan)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.7, 2.4])
