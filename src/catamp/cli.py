@@ -124,11 +124,9 @@ def cmd_fig3(args: argparse.Namespace) -> Table:
 
 def cmd_fig4(args: argparse.Namespace) -> Table:
     """Best iteration count and final fidelity along the target amplitude."""
-    source = SourceModel("squeezed-photon")
     rows = []
     for a in FIG4_GRID:
-        n_star, f_star = best_schedule(a, max_n=args.max_n, source=source,
-                                       cutoff=args.cutoff, eta=args.eta)
+        n_star, f_star = best_schedule(a, max_n=args.max_n, cutoff=args.cutoff, eta=args.eta)
         rows.append([a, n_star, _unit(f_star)])
     return Table({"command": "fig4", "cutoff": args.cutoff, "eta": args.eta,
                   "max_n": args.max_n},

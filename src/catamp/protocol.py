@@ -62,19 +62,10 @@ class StageParams:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"detector efficiency must lie in [0, 1], got {self.eta}")
 
-    @classmethod
-    def plan(cls, alpha: float, beta: float, phi_a: float, phi_b: float,
-             eta: float = 1.0) -> "StageParams":
-        """The stage for two inputs; the same as the constructor. It stays
-        because perfbench/workloads.py calls it."""
-        return cls(alpha, beta, phi_a, phi_b, eta)
-
     @property
     def mixing_angle(self) -> float:
-        """U1's angle atan2(beta/A, alpha/A). In the last bit it can differ
-        from atan2(beta, alpha); this form keeps the tables' digits."""
-        big = math.hypot(self.alpha_in, self.beta_in)
-        return math.atan2(self.beta_in / big, self.alpha_in / big)
+        """U1's angle atan2(beta, alpha): exactly pi/4 for equal inputs."""
+        return math.atan2(self.beta_in, self.alpha_in)
 
     @property
     def gamma(self) -> float:
@@ -95,7 +86,7 @@ class IterationResult:
     nominal_target: CatSpec
     fidelity: float
     purity: float
-    leakage_warning: float = 0.0
+    leakage_warning: float
 
 
 @dataclass(frozen=True)
@@ -165,11 +156,9 @@ class Schedule:
         return tuple(stages)
 
 
-def plan_schedule(alpha_target: float, n_iterations: int, eta: float = 1.0) -> Schedule:
-    """Plan n stages of pairwise amplification toward ``alpha_target``;
-    the same as ``Schedule``. It stays because perfbench/workloads.py
-    calls it."""
-    return Schedule(alpha_target, n_iterations, eta)
+# perfbench/ calls the planning aliases (ROADMAP item 5 deletes them after item 4)
+StageParams.plan = StageParams
+plan_schedule = Schedule
 
 
 def _input_branches(state, label: str):
@@ -292,25 +281,32 @@ def run_schedule(sched: Schedule, source: SourceModel,
 
 
 def best_schedule(alpha_target: float, max_n: int = 6,
-                  source: SourceModel = SourceModel("squeezed-photon"),
                   cutoff: int = DEFAULT_CUTOFF, eta: float = 1.0) -> tuple[int, float]:
     """Pick the iteration count that maximizes the final fidelity.
 
     For each n in [0, max_n] the stage-0 amplitude is alpha_target /
-    sqrt(2)^n and the source squeezing is re-optimized for it (when the
-    source does not pin r); every stage has detector efficiency ``eta``.
-    Returns (n_star, best final fidelity), or raises ValueError when any
-    entry of that schedule carries a nonzero ``leakage_warning``: the
-    cutoff is then too small to trust it.
+    sqrt(2)^n, and the source is a squeezed photon squeezed for it; every
+    stage has detector efficiency ``eta``. The search ends at the first n
+    whose schedule is degenerate (a stage's success probability falls
+    below the floor), and raises ``DegenerateProbabilityError`` when that
+    n is 1. Returns (n_star, best final fidelity), or raises ValueError
+    when any entry of that schedule carries a nonzero
+    ``leakage_warning``: the cutoff is then too small to trust it.
     """
     if not 0.0 < alpha_target <= MAX_ALPHA:
         raise ValueError(f"target amplitude must lie in (0, {MAX_ALPHA}], the validated regime")
     if not isinstance(max_n, numbers.Integral) or max_n < 0:
         raise ValueError(
             f"largest iteration count must be a non-negative integer, got {max_n!r}")
+    source = SourceModel("squeezed-photon")
     best = None
     for n in range(max_n + 1):
-        results = run_schedule(Schedule(alpha_target, n, eta), source, cutoff=cutoff)
+        try:
+            results = run_schedule(Schedule(alpha_target, n, eta), source, cutoff=cutoff)
+        except DegenerateProbabilityError:
+            if n == 1:  # a single stage already fails to herald
+                raise
+            break  # deeper schedules start from still weaker inputs
         if best is None or results[-1].fidelity > best[-1].fidelity:
             n_star, best = n, results
     leak = max(r.leakage_warning for r in best)

@@ -123,8 +123,7 @@ def test_criterion_3_formula_simulation_equivalence():
 @lru_cache(maxsize=1)
 def _iteration_sweep():
     grid = [round(0.5 + 0.1 * k, 10) for k in range(21)]
-    return {a: best_schedule(a, max_n=6, source=SourceModel("squeezed-photon"))
-            for a in grid}
+    return {a: best_schedule(a, max_n=6) for a in grid}
 
 
 def test_criterion_4_best_schedule():

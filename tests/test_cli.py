@@ -62,6 +62,15 @@ def test_fig4_small_grid(monkeypatch):
     assert f_star > 0.999
 
 
+def test_fig4_search_ends_at_the_first_degenerate_depth(capsys):
+    # each target's schedules fall below the probability floor from n = 18
+    # to 23 on; deeper searches print the default table's rows
+    assert main(["fig4", "--max-n", "20"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    golden = Path(__file__).with_name("golden") / "fig4.csv"
+    assert rows == [ln for ln in golden.read_text().splitlines() if not ln.startswith("#")]
+
+
 def test_purify_table_shape_and_ranges():
     table = cmd_purify(_args("purify"))
     assert table.columns == ["p", "f_initial", "f_after", "probability"]
@@ -264,6 +273,7 @@ def test_exit_codes(tmp_path, capsys):
     # eta = 0 kills every click: numerical degeneracy is exit code 2
     assert main(["amplify", "--alpha-target", "1.0", "--iterations", "1",
                  "--eta", "0.0"]) == 2
+    assert main(["fig4", "--eta", "0.0"]) == 2
     capsys.readouterr()
     # so is a schedule deep enough that alpha_i ~ 1e-9 starves the herald
     assert main(["amplify", "--alpha-target", "2.0", "--iterations", "60"]) == 2

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from catamp import (DegenerateProbabilityError, DensityOperator, MultiModeState,
                     squeezed_photon_cat_fidelity, squeezed_vacuum,
                     success_probability)
 
-from catamp.cli import ALPHA_GRID
+from catamp.cli import ALPHA_GRID, FIG4_GRID
 from circuit_reference import fock_state
 
 PI = math.pi
@@ -22,9 +23,10 @@ ROOT2 = math.sqrt(2.0)
 
 
 def test_stage_planner_invariants():
-    for a, b in ((0.5, 0.5), (0.7, 1.1), (1.5, 0.3)):
+    for a, b in ((0.5, 0.5), (0.7, 1.1), (1.5, 0.3), (0.0, 0.5), (0.5, 0.0)):
         st = StageParams(a, b, PI, 0.0)
         big = math.hypot(a, b)
+        assert st.mixing_angle == math.atan2(b, a)
         assert abs(math.sin(st.mixing_angle) - b / big) < 1e-12
         assert abs(math.cos(st.mixing_angle) - a / big) < 1e-12
         assert abs(st.gamma - 2 * a * b / big) < 1e-12
@@ -32,6 +34,15 @@ def test_stage_planner_invariants():
         assert abs(st.nominal_target.phi - (PI % (2 * PI))) < 1e-12
     with pytest.raises(ValueError):
         StageParams(0.0, 0.0, PI, PI)
+
+
+def test_equal_inputs_mix_at_exactly_pi_over_4():
+    # every stage a table runs has equal inputs, so U1's angle is the same
+    # float however it is computed
+    stages = [StageParams(a, a, pa, pb) for a in ALPHA_GRID
+              for pa, pb in ((PI, PI), (0.0, 0.0), (0.0, PI))]
+    stages += [st for t in FIG4_GRID for n in range(7) for st in Schedule(t, n).stages]
+    assert all(st.mixing_angle == math.pi / 4 for st in stages)
 
 
 def test_stage_params_reject_bad_amplitudes_and_phases():
@@ -330,8 +341,8 @@ def test_failed_herald_branches_explain_reference_purification_values():
 
 def test_aliases_equal_their_constructors():
     # the benchmark's workloads call the aliases; the tests call the constructors
-    assert plan_schedule(2.0, 4, eta=0.8) == Schedule(2.0, 4, 0.8)
-    assert StageParams.plan(0.7, 1.1, PI, 0.0, eta=0.6) == StageParams(0.7, 1.1, PI, 0.0, 0.6)
+    assert plan_schedule is Schedule
+    assert StageParams.plan is StageParams
 
 
 def test_plan_schedule_chain_consistency():
@@ -436,6 +447,19 @@ def test_best_schedule_fidelity_falls_with_detector_efficiency():
     assert best[1.0][1] > best[0.6][1] > best[0.3][1]
     with pytest.raises(ValueError, match="efficiency"):
         best_schedule(2.5, eta=1.5)
+
+
+def test_best_schedule_runs_the_squeezed_photon_only():
+    assert "source" not in inspect.signature(best_schedule).parameters
+
+
+def test_best_schedule_stops_at_the_first_degenerate_depth():
+    # target 0.5's schedules herald below the probability floor from n = 18
+    # on; the search ends there instead of failing
+    assert best_schedule(0.5, max_n=20) == best_schedule(0.5, max_n=6)
+    # with dead detectors a single stage is already degenerate
+    with pytest.raises(DegenerateProbabilityError):
+        best_schedule(0.5, eta=0.0)
 
 
 def test_best_schedule_rejects_negative_iteration_count():
