@@ -6,11 +6,10 @@ coherent field, and post-selected on two threshold-detector clicks to
 grow the cat amplitude by sqrt(2) per iteration.
 """
 
-from .detection import DegenerateProbabilityError
 from .fock import (DEFAULT_CUTOFF, DensityOperator, MultiModeState,
                    fidelity_mixed, projector)
-from .protocol import (IterationResult, Schedule, SourceModel, StageParams,
-                       amplify_once, best_schedule, homodyne_error,
+from .protocol import (DegenerateProbabilityError, IterationResult, Schedule,
+                       SourceModel, StageParams, amplify_once, best_schedule, homodyne_error,
                        optimal_squeezing, plan_schedule, prepare_source,
                        run_schedule, success_probability,
                        squeezed_photon_cat_fidelity)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
-from .detection import DegenerateProbabilityError
 from .fock import DEFAULT_CUTOFF
-from .protocol import (MAX_ALPHA, SOURCE_KINDS, Schedule, SourceModel, StageParams,
-                       amplify_once, best_schedule, optimal_squeezing, run_schedule,
-                       success_probability)
+from .protocol import (MAX_ALPHA, SOURCE_KINDS, DegenerateProbabilityError, Schedule,
+                       SourceModel, StageParams, amplify_once, best_schedule,
+                       optimal_squeezing, run_schedule, success_probability)
 from .states import cat_state
 
 # a full-rank complex mixed input makes a c^2 x c^2 complex128 array
@@ -184,21 +184,24 @@ def cmd_amplify(args: argparse.Namespace) -> Table:
 # ---------------------------------------------------------------------------
 
 def parse_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Flat key = value file; unknown keys are errors, not warnings.
+    """Flat key = value file; unknown and repeated keys are errors, not
+    warnings.
 
     The keys are the subcommand ``parser``'s flags, ``--config`` aside,
     spelled with ``_``; ``parser`` reads each value as ``--flag=value``.
+    A comment starts at a ``#`` that begins the line or follows
+    whitespace, so a value such as ``res#1.csv`` keeps its ``#``.
     """
     options = {act.dest: act.option_strings[0] for act in parser._actions
                if act.option_strings and act.dest not in ("help", "config")}
-    values = {}
+    values, given_on = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -207,6 +210,10 @@ def parse_config(path: str, parser: argparse.ArgumentParser) -> dict:
         key, val = key.strip(), val.strip()
         if key not in options:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in given_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already given on line "
+                              f"{given_on[key]}")
+        given_on[key] = lineno
         try:
             values[key] = getattr(parser.parse_args([f"{options[key]}={val}"]), key)
         except ConfigError as exc:

@@ -6,6 +6,8 @@ with entries (1-eta)^n. A stage mixes its dump mode with a coherent
 auxiliary on a 50:50 splitter and keeps the run when both detectors
 click; ``herald_operator`` is that whole measurement as one operator on
 the dump mode, and ``herald_root`` its square root, which a stage applies.
+The floor below which a stage's success probability is degenerate lives
+with the stage, in ``protocol``.
 """
 
 from __future__ import annotations
@@ -14,14 +16,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-# Below this probability a conditional state is numerically meaningless.
-PROBABILITY_FLOOR = 1e-12
-
-
-class DegenerateProbabilityError(RuntimeError):
-    """Conditioning probability fell below the reporting floor."""
-
 
 def herald_operator(eta: float, gamma: float, cutoff: int) -> np.ndarray:
     """Both-click element Pi on the first ``cutoff`` dump states of one

@@ -12,6 +12,9 @@ A state's dtype is decided once, when it is stored: float64 when no
 entry has a nonzero imaginary part, complex128 otherwise. Code that
 reads a state follows its stored dtype, so real states stay real
 through every stage they feed.
+
+The module defines only the tolerances it applies itself; the stage's
+conditioning floor and leakage warning live in ``protocol``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ DEFAULT_CUTOFF = 30
 OPERATOR_TOL = 1e-10
 # Allowed |norm^2 - 1| of a pure state and trace deficit of a mixed one.
 UNIT_TOL = 1e-8
-
-# Truncation leakage above this is surfaced as a warning on results.
-LEAKAGE_WARN = 1e-6
 
 # Eigenvalues below this are dropped from a mixture's spectral branches.
 EIGEN_FLOOR = 1e-10

@@ -21,15 +21,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import PROBABILITY_FLOOR, DegenerateProbabilityError, herald_root
-from .fock import (DEFAULT_CUTOFF, LEAKAGE_WARN, DensityOperator, MultiModeState,
-                   fidelity_mixed, projector)
+from .detection import herald_root
+from .fock import DEFAULT_CUTOFF, DensityOperator, MultiModeState, fidelity_mixed, projector
 from .optics import _mix_pairs
 from .states import CatSpec, cat_state, squeezed_photon, squeezed_vacuum
 
 SOURCE_KINDS = ("ideal-cat", "squeezed-photon", "mixed-photon")
 # The largest amplitude validated at the default cutoff: optimizers and CLI grids stop here.
 MAX_ALPHA = 2.5
+# Below this success probability a stage's conditional state is numerically meaningless.
+PROBABILITY_FLOOR = 1e-12
+# Truncation leakage above this is surfaced as a warning on results.
+LEAKAGE_WARN = 1e-6
+
+
+class DegenerateProbabilityError(RuntimeError):
+    """Conditioning probability fell below ``PROBABILITY_FLOOR``."""
 
 
 @dataclass(frozen=True)

@@ -139,12 +139,14 @@ def test_outputs_are_deterministic(tmp_path):
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# schedule\nalpha_target = 1.0\niterations = 2\n"
-                   "source = squeezed-photon\ncutoff = 24\n")
+    # a comment starts at a '#' that begins the line or follows whitespace
+    cfg.write_text("# schedule\nalpha_target = 1.0\niterations = 2  # stages\n"
+                   "source = squeezed-photon\ncutoff = 24\t# tab\n  # indented\n"
+                   "out = res#1.csv\n")
     amplify = _args("amplify").parser
     values = parse_config(str(cfg), amplify)
     assert values == {"alpha_target": 1.0, "iterations": 2,
-                      "source": "squeezed-photon", "cutoff": 24}
+                      "source": "squeezed-photon", "cutoff": 24, "out": "res#1.csv"}
     bad = tmp_path / "bad.cfg"
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config(str(bad), amplify)  # not written yet
@@ -183,6 +185,26 @@ def test_config_keeps_values_that_begin_with_a_dash(tmp_path):
     cfg.write_text("r = -0.1\nout = -report.csv\n")
     values = parse_config(str(cfg), _args("amplify").parser)
     assert values == {"r": -0.1, "out": "-report.csv"}
+
+
+def test_readme_config_example_parses(tmp_path):
+    # its source line carries a trailing comment after spaces
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```\n(# schedule\.cfg\n.*?)```", readme.read_text(), re.S).group(1)
+    cfg = tmp_path / "schedule.cfg"
+    cfg.write_text(block)
+    values = parse_config(str(cfg), _args("amplify").parser)
+    assert values["source"] == "squeezed-photon" and values["iterations"] == 4
+
+
+def test_config_key_given_twice_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha_target = 1.0\niterations = 2\n# again\niterations = 3\n")
+    message = f"{cfg}:4: key 'iterations' already given on line 2"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(str(cfg), _args("amplify").parser)
+    assert main(["amplify", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_keys_are_the_running_subcommands_flags(tmp_path, capsys):
